@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use utlb_core::PinBitVector;
+use utlb_core::{PinBitVector, PinnedSet, Policy};
 use utlb_mem::{Host, VirtPage};
 
 fn bench_bitvec_check(c: &mut Criterion) {
@@ -69,5 +69,56 @@ fn bench_paging(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_bitvec_check, bench_pin_unpin, bench_paging);
+/// Pages in the replacement-set benches: the Table 5 limit, 4 MB of
+/// 4 KiB pages.
+const LIMIT_PAGES: u64 = 1024;
+
+/// A full set of `LIMIT_PAGES` pages with uneven recency and frequency, so
+/// every policy has a non-trivial order to keep.
+fn full_set(policy: Policy) -> PinnedSet {
+    let mut set = PinnedSet::new(policy, 7);
+    for p in 0..LIMIT_PAGES {
+        set.insert(VirtPage::new(p));
+    }
+    for i in 0..4 * LIMIT_PAGES {
+        set.touch(VirtPage::new(i * 7 % LIMIT_PAGES));
+    }
+    set
+}
+
+fn bench_pinned_set(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pinned_set");
+    for policy in Policy::ALL {
+        // Steady state at the limit: evict one victim, pin one new page.
+        group.bench_function(BenchmarkId::new("evict_insert", policy), |b| {
+            let mut set = full_set(policy);
+            let mut next = LIMIT_PAGES;
+            b.iter(|| {
+                let victim = set.select_victims(1)[0];
+                set.remove(victim);
+                set.insert(VirtPage::new(next));
+                next += 1;
+                black_box(victim)
+            })
+        });
+    }
+    // The hit path's recency update; identical for every policy.
+    group.bench_function("touch", |b| {
+        let mut set = full_set(Policy::Lru);
+        let mut i = 0u64;
+        b.iter(|| {
+            set.touch(VirtPage::new(i % LIMIT_PAGES));
+            i += 1;
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_bitvec_check,
+    bench_pin_unpin,
+    bench_paging,
+    bench_pinned_set
+);
 criterion_main!(benches);

@@ -211,6 +211,67 @@ struct ProcState {
     core: PinCore,
 }
 
+impl ProcState {
+    /// Makes room under the pinned-memory limit for `run` more pages:
+    /// unpins policy-chosen victims (one call each, §6.5, charging
+    /// `unpin_us`) and invalidates their bitmap bits, table entries, and
+    /// cache lines. Returns the run length that fits — shortened if too
+    /// few pages are evictable, but never below the demanded page.
+    ///
+    /// # Errors
+    ///
+    /// [`UtlbError::NoEvictableVictim`] if not even the demanded page
+    /// fits; propagates unpin and memory errors.
+    #[allow(clippy::too_many_arguments)] // host/board/pid threading is the engine calling convention
+    fn make_room(
+        &mut self,
+        limit: Option<u64>,
+        mut run: u64,
+        unpin_us: f64,
+        host: &mut Host,
+        board: &mut Board,
+        pid: ProcessId,
+        cache: &mut SharedUtlbCache,
+        sink: &mut dyn FnMut(Event),
+    ) -> Result<u64> {
+        let Some(limit) = limit else {
+            return Ok(run);
+        };
+        let pinned = self.core.pinned.len() as u64;
+        if pinned + run <= limit {
+            return Ok(run);
+        }
+        let deficit = pinned + run - limit;
+        let victims = self.core.pinned.select_victims(deficit as usize);
+        if victims.is_empty() && pinned >= limit {
+            // Cannot pin even the demanded page.
+            return Err(UtlbError::NoEvictableVictim(pid));
+        }
+        // If fewer victims than the deficit, shrink the prepin run (but
+        // never below the demanded page).
+        if (victims.len() as u64) < deficit {
+            let shortfall = deficit - victims.len() as u64;
+            run = run.saturating_sub(shortfall).max(1);
+        }
+        for victim in victims {
+            self.core.unpin(
+                host,
+                board,
+                pid,
+                victim,
+                unpin_us,
+                EvictReason::MemLimit,
+                sink,
+            )?;
+            self.bitvec.clear(victim);
+            self.hier
+                .invalidate(victim, host.physical_mut(), &board.sram)?;
+            cache.invalidate(pid, victim);
+        }
+        Ok(run)
+    }
+}
+
 /// The Hierarchical-UTLB translation engine.
 #[derive(Debug)]
 pub struct UtlbEngine {
@@ -425,6 +486,19 @@ impl UtlbEngine {
                 },
             );
             state.core.stats.interrupts += 1;
+            // The handler honours the pinned-memory limit like the
+            // user-level pin path, but unpins at in-kernel cost.
+            let mut sink = |ev: Event| probe.emit(pid, ev);
+            state.make_room(
+                cfg.mem_limit_pages,
+                1,
+                cost.kernel_unpin_cost(1),
+                host,
+                board,
+                pid,
+                cache,
+                &mut sink,
+            )?;
             let pinned = state.core.pin(
                 host,
                 board,
@@ -432,7 +506,7 @@ impl UtlbEngine {
                 page,
                 1,
                 cost.kernel_pin_cost(1),
-                &mut |ev| probe.emit(pid, ev),
+                &mut sink,
             )?;
             state.hier.install(
                 page,
@@ -590,13 +664,13 @@ impl UtlbEngine {
         pid: ProcessId,
         page: VirtPage,
     ) -> Result<PageOutcome> {
-        let cost = self.cfg.cost.clone();
+        let (user_check_us, ni_check_us) = (self.cfg.cost.user_check_us, self.cfg.cost.ni_check_us);
         let t0 = board.clock.now();
         let state = self.procs.get_mut(&pid).expect("checked by caller");
         state.core.stats.lookups += 1;
 
         // 1. User-level check against the pin bitmap (Figure 2 step 1).
-        charge_us(board, cost.user_check_us);
+        charge_us(board, user_check_us);
         let check = state.bitvec.check_run(page, 1);
         let check_miss = !check.is_hit();
 
@@ -610,7 +684,7 @@ impl UtlbEngine {
         state.core.pinned.touch(page);
 
         // 2. NIC-side resolution (Figure 2 NIC steps 1–2).
-        charge_us(board, cost.ni_check_us);
+        charge_us(board, ni_check_us);
         let (phys, ni_miss) = match self.cache.lookup(pid, page) {
             Some(phys) => (phys, false),
             None => {
@@ -660,41 +734,16 @@ impl UtlbEngine {
         }
         debug_assert!(run >= 1, "called on a check miss");
 
-        // Make room under the pinned-memory limit.
-        if let Some(limit) = cfg.mem_limit_pages {
-            let pinned = state.core.pinned.len() as u64;
-            if pinned + run > limit {
-                let deficit = (pinned + run).saturating_sub(limit);
-                let victims = state.core.pinned.select_victims(deficit as usize);
-                if victims.is_empty() && pinned >= limit {
-                    // Cannot pin even the demanded page.
-                    return Err(UtlbError::NoEvictableVictim(pid));
-                }
-                // If fewer victims than the deficit, shrink the prepin run
-                // (but never below the demanded page).
-                if (victims.len() as u64) < deficit {
-                    let shortfall = deficit - victims.len() as u64;
-                    run = run.saturating_sub(shortfall).max(1);
-                }
-                for victim in victims {
-                    // Unpinning is one page at a time (§6.5).
-                    state.core.unpin(
-                        host,
-                        board,
-                        pid,
-                        victim,
-                        cost.unpin_cost(1),
-                        EvictReason::MemLimit,
-                        &mut sink,
-                    )?;
-                    state.bitvec.clear(victim);
-                    state
-                        .hier
-                        .invalidate(victim, host.physical_mut(), &board.sram)?;
-                    cache.invalidate(pid, victim);
-                }
-            }
-        }
+        let run = state.make_room(
+            cfg.mem_limit_pages,
+            run,
+            cost.unpin_cost(1),
+            host,
+            board,
+            pid,
+            cache,
+            &mut sink,
+        )?;
 
         // One ioctl pins the whole run (Figure 2 step 2).
         let pinned = state
@@ -1094,6 +1143,55 @@ mod tests {
     }
 
     #[test]
+    fn nic_resolve_at_the_limit_evicts_one_lru_victim() {
+        use crate::obs::SharedCollector;
+        let cfg = UtlbConfig {
+            cache: CacheConfig::direct(64),
+            mem_limit_pages: Some(2),
+            ..UtlbConfig::default()
+        };
+        let (mut host, mut board, mut engine, pid) = setup(cfg);
+        let collector = SharedCollector::new(16);
+        engine.set_probe(collector.boxed());
+        for i in 0..2 {
+            engine
+                .lookup(&mut host, &mut board, pid, VirtPage::new(i), 1)
+                .unwrap();
+        }
+        let va = VirtAddr::new(7 << 12);
+        host.process_mut(pid)
+            .unwrap()
+            .write(va, b"over limit")
+            .unwrap();
+        let phys = engine
+            .nic_resolve(&mut host, &mut board, pid, va.page())
+            .unwrap();
+        let mut buf = [0u8; 10];
+        host.physical().read(phys, &mut buf).unwrap();
+        assert_eq!(&buf, b"over limit");
+        let s = engine.stats(pid).unwrap();
+        assert_eq!(s.unpins, 1, "exactly one victim");
+        assert_eq!(s.interrupts, 1);
+        let pins = host.driver().pins();
+        assert_eq!(pins.pinned_pages(pid), 2, "pinned stays at the limit");
+        assert!(!pins.is_pinned(pid, VirtPage::new(0)), "LRU page evicted");
+        assert!(pins.is_pinned(pid, VirtPage::new(1)));
+        assert!(engine.cache().peek(pid, VirtPage::new(0)).is_none());
+        let mismatches = collector
+            .snapshot()
+            .metrics
+            .reconcile(&engine.aggregate_stats());
+        assert!(mismatches.is_empty(), "mismatches: {mismatches:?}");
+        // The evicted page's translation was invalidated: a checked lookup
+        // re-pins it.
+        let r = engine
+            .lookup(&mut host, &mut board, pid, VirtPage::new(0), 1)
+            .unwrap();
+        assert!(r.pages[0].check_miss);
+        assert_eq!(host.driver().pins().pinned_pages(pid), 2);
+    }
+
+    #[test]
     fn os_reclaim_of_unpinned_pages_is_invisible_to_the_engine() {
         // Under a memory limit the engine unpins cold pages; the OS may
         // then reclaim them. A later lookup must transparently fault the
@@ -1171,8 +1269,7 @@ mod tests {
         let (mut host, mut board, mut engine, pid) = setup(cfg);
         let collector = SharedCollector::new(16);
         engine.set_probe(collector.boxed());
-        // The interrupt fallback path first, while pins are under the limit
-        // (nic_resolve pins directly, without the limit-eviction path).
+        // The interrupt fallback path first, while pins are under the limit.
         engine
             .nic_resolve(&mut host, &mut board, pid, VirtPage::new(500))
             .unwrap();

@@ -221,7 +221,7 @@ impl IndexedEngine {
             procs,
             probe,
         } = self;
-        let cost = cfg.cost.clone();
+        let cost = &cfg.cost;
         let t0 = board.clock.now();
         let probe_on = probe.is_attached();
         let mut events: Vec<Event> = Vec::new();

@@ -135,20 +135,22 @@ impl PerProcessEngine {
         pid: ProcessId,
         page: VirtPage,
     ) -> Result<PageOutcome> {
-        let cost = self.cfg.cost.clone();
+        // Disjoint borrows: the cost model stays borrowed across the miss
+        // path while the process state is mutated.
+        let PerProcessEngine { cfg, procs, probe } = self;
+        let cost = &cfg.cost;
         let t0 = board.clock.now();
         // One `state` borrow spans the whole miss path, so events are
         // buffered and flushed once it ends (the buffer never allocates
         // with the probe detached).
-        let probe_on = self.probe.is_attached();
+        let probe_on = probe.is_attached();
         let mut events: Vec<Event> = Vec::new();
         let mut sink = |ev: Event| {
             if probe_on {
                 events.push(ev);
             }
         };
-        let state = self
-            .procs
+        let state = procs
             .get_mut(&pid)
             .ok_or(UtlbError::UnregisteredProcess(pid))?;
         state.core.stats.lookups += 1;
@@ -205,10 +207,10 @@ impl PerProcessEngine {
         let phys = state.table.read(index, &board.sram)?;
         if probe_on {
             for ev in events {
-                self.probe.emit(pid, ev);
+                probe.emit(pid, ev);
             }
             let ns = (board.clock.now() - t0).as_nanos();
-            self.probe.emit(pid, Event::Lookup { ns });
+            probe.emit(pid, Event::Lookup { ns });
         }
         Ok(PageOutcome {
             page,

@@ -10,7 +10,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use utlb_mem::VirtPage;
 
@@ -60,7 +61,13 @@ struct PageMeta {
     uses: u64,
     /// Pages involved in outstanding sends must not be unpinned (§3.1).
     outstanding: u32,
+    /// LRU heap only: the key of this page's one live heap entry. Entries
+    /// whose key differs are dead (left behind by a remove or re-insert).
+    queued: u64,
 }
+
+/// An LRU heap entry: `(key, page)` in min-first order.
+type LruEntry = Reverse<(u64, u64)>;
 
 /// The set of pinned pages of one process, with the metadata the
 /// replacement policies need.
@@ -74,6 +81,13 @@ pub struct PinnedSet {
     policy: Policy,
     tick: u64,
     rng: StdRng,
+    /// LRU only, built on the first eviction: a min-heap of `(last_use,
+    /// page)` entries whose updates are deferred until a victim is needed.
+    /// Every tracked page has exactly one live entry, and its key is at
+    /// most the page's `last_use` (touches only raise it), so a stale
+    /// entry sits too early, never too late; popping re-pushes it with its
+    /// current key.
+    lru: Option<BinaryHeap<LruEntry>>,
 }
 
 impl PinnedSet {
@@ -85,6 +99,7 @@ impl PinnedSet {
             policy,
             tick: 0,
             rng: StdRng::seed_from_u64(seed),
+            lru: None,
         }
     }
 
@@ -117,8 +132,17 @@ impl PinnedSet {
                 last_use: self.tick,
                 uses: 1,
                 outstanding: 0,
+                queued: self.tick,
             },
         );
+        if let Some(heap) = &mut self.lru {
+            heap.push(Reverse((self.tick, page.number())));
+            // Dead entries only leave the heap when popped; rebuild before
+            // they outnumber the live ones so the heap stays O(len).
+            if heap.len() > 2 * self.pages.len() + 32 {
+                self.lru = Some(Self::build_lru(&mut self.pages));
+            }
+        }
     }
 
     /// Records a use of `page` (a translation lookup touching it).
@@ -163,22 +187,76 @@ impl PinnedSet {
     /// not enough pages are evictable. Victims are *not* removed; call
     /// [`PinnedSet::remove`] once the unpin succeeds.
     pub fn select_victims(&mut self, count: usize) -> Vec<VirtPage> {
+        if count == 0 {
+            return Vec::new();
+        }
+        match self.policy {
+            Policy::Lru => self.select_lru(count),
+            _ => self.select_sorted(count),
+        }
+    }
+
+    /// One live entry per tracked page, keyed by its current `last_use`.
+    fn build_lru(pages: &mut HashMap<u64, PageMeta>) -> BinaryHeap<LruEntry> {
+        pages
+            .iter_mut()
+            .map(|(&p, m)| {
+                m.queued = m.last_use;
+                Reverse((m.last_use, p))
+            })
+            .collect()
+    }
+
+    /// LRU selection from the lazy heap: O(log n) per victim, plus one
+    /// re-push per page touched since its entry was pushed. Victims come
+    /// out in exactly the `(last_use, page)` order a full sort gives.
+    fn select_lru(&mut self, count: usize) -> Vec<VirtPage> {
+        let pages = &mut self.pages;
+        let heap = self.lru.get_or_insert_with(|| Self::build_lru(pages));
+        let mut victims = Vec::with_capacity(count.min(pages.len()));
+        // Held pages stay tracked; so do victims until the caller removes
+        // them after a successful unpin. Both get their live entries back.
+        let mut keep = Vec::new();
+        while victims.len() < count {
+            let Some(Reverse((key, p))) = heap.pop() else {
+                break;
+            };
+            let Some(meta) = pages.get_mut(&p) else {
+                continue; // removed since pushed
+            };
+            if meta.queued != key {
+                continue; // superseded by a re-insert
+            }
+            if meta.last_use > key {
+                // Touched since pushed: requeue at its real position.
+                meta.queued = meta.last_use;
+                heap.push(Reverse((meta.last_use, p)));
+                continue;
+            }
+            if meta.outstanding == 0 {
+                victims.push(VirtPage::new(p));
+            }
+            keep.push(Reverse((key, p)));
+        }
+        heap.extend(keep);
+        victims
+    }
+
+    /// Collect-and-sort selection for the policies whose keys a touch can
+    /// move toward the head of a heap (MRU, MFU), that need the page-sorted
+    /// shuffle (RANDOM), or that run only in the policy ablations (LFU).
+    fn select_sorted(&mut self, count: usize) -> Vec<VirtPage> {
         let mut candidates: Vec<(u64, PageMeta)> = self
             .pages
             .iter()
             .filter(|(_, m)| m.outstanding == 0)
             .map(|(p, m)| (*p, *m))
             .collect();
-        if candidates.is_empty() || count == 0 {
-            return Vec::new();
-        }
         match self.policy {
-            Policy::Lru => candidates.sort_by_key(|(p, m)| (m.last_use, *p)),
-            Policy::Mru => candidates.sort_by_key(|(p, m)| (std::cmp::Reverse(m.last_use), *p)),
+            Policy::Lru => unreachable!("LRU selects from the lazy heap"),
+            Policy::Mru => candidates.sort_by_key(|(p, m)| (Reverse(m.last_use), *p)),
             Policy::Lfu => candidates.sort_by_key(|(p, m)| (m.uses, m.last_use, *p)),
-            Policy::Mfu => {
-                candidates.sort_by_key(|(p, m)| (std::cmp::Reverse(m.uses), m.last_use, *p))
-            }
+            Policy::Mfu => candidates.sort_by_key(|(p, m)| (Reverse(m.uses), m.last_use, *p)),
             Policy::Random => {
                 // Partial Fisher-Yates: shuffle just the prefix we need.
                 let n = candidates.len();
@@ -296,6 +374,82 @@ mod tests {
         assert_eq!(Policy::Lru.to_string(), "LRU");
         assert_eq!(Policy::Random.to_string(), "RANDOM");
         assert_eq!(Policy::default(), Policy::Lru);
+    }
+
+    fn numbers(victims: Vec<VirtPage>) -> Vec<u64> {
+        victims.into_iter().map(|v| v.number()).collect()
+    }
+
+    #[test]
+    fn lru_heap_is_built_on_first_eviction_only() {
+        let mut s = set_with_pages(Policy::Lru);
+        assert!(s.lru.is_none(), "touch and insert never build the heap");
+        assert!(s.select_victims(0).is_empty());
+        assert!(s.lru.is_none(), "an empty request selects nothing");
+        assert_eq!(numbers(s.select_victims(1)), vec![0]);
+        assert!(s.lru.is_some());
+    }
+
+    #[test]
+    fn lru_repeated_select_without_eviction_is_stable() {
+        let mut s = set_with_pages(Policy::Lru);
+        // Nothing removed between selects: victims stay in the heap.
+        assert_eq!(numbers(s.select_victims(2)), vec![0, 1]);
+        assert_eq!(numbers(s.select_victims(2)), vec![0, 1]);
+        assert_eq!(numbers(s.select_victims(4)), vec![0, 1, 2, 3]);
+        // A touch after the build moves the page to the back.
+        s.touch(page(0));
+        assert_eq!(numbers(s.select_victims(4)), vec![1, 2, 3, 0]);
+    }
+
+    #[test]
+    fn lru_remove_then_reinsert_uses_the_new_recency() {
+        let mut s = set_with_pages(Policy::Lru);
+        assert_eq!(numbers(s.select_victims(1)), vec![0]);
+        s.remove(page(0));
+        assert_eq!(numbers(s.select_victims(1)), vec![1]);
+        s.insert(page(0));
+        assert_eq!(numbers(s.select_victims(4)), vec![1, 2, 3, 0]);
+        // Re-inserting a tracked page also resets its recency; its old
+        // heap entry is dead and never yields a duplicate.
+        s.insert(page(2));
+        assert_eq!(numbers(s.select_victims(4)), vec![1, 3, 0, 2]);
+        assert_eq!(s.len(), 4);
+    }
+
+    #[test]
+    fn lru_held_pages_at_the_head_are_skipped_and_kept() {
+        let mut s = set_with_pages(Policy::Lru);
+        s.hold(page(0));
+        s.hold(page(2));
+        assert_eq!(numbers(s.select_victims(2)), vec![1, 3]);
+        s.release(page(0));
+        assert_eq!(numbers(s.select_victims(2)), vec![0, 1]);
+        s.release(page(2));
+        assert_eq!(numbers(s.select_victims(3)), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn lru_count_beyond_evictable_returns_all_evictable_in_order() {
+        let mut s = set_with_pages(Policy::Lru);
+        s.hold(page(3));
+        assert_eq!(numbers(s.select_victims(10)), vec![0, 1, 2]);
+        // The exhausted heap was fully restored.
+        assert_eq!(numbers(s.select_victims(10)), vec![0, 1, 2]);
+        s.release(page(3));
+        assert_eq!(numbers(s.select_victims(10)), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn lru_heap_stays_bounded_under_reinserts() {
+        let mut s = set_with_pages(Policy::Lru);
+        s.select_victims(1);
+        for i in 0..10_000 {
+            s.insert(page(i % 4));
+        }
+        let heap_len = s.lru.as_ref().map_or(0, |h| h.len());
+        assert!(heap_len <= 2 * s.len() + 33, "heap grew to {heap_len}");
+        assert_eq!(numbers(s.select_victims(4)), vec![0, 1, 2, 3]);
     }
 
     #[test]

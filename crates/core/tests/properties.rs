@@ -8,6 +8,115 @@ use utlb_core::{
 use utlb_mem::{Host, PhysAddr, ProcessId, VirtPage};
 use utlb_nic::Board;
 
+/// Reference replacement set: the original collect-and-sort `PinnedSet`,
+/// kept verbatim as the executable spec every policy's victim order is
+/// checked against.
+mod reference {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::HashMap;
+    use utlb_core::Policy;
+    use utlb_mem::VirtPage;
+
+    #[derive(Debug, Clone, Copy)]
+    struct PageMeta {
+        last_use: u64,
+        uses: u64,
+        outstanding: u32,
+    }
+
+    pub struct SortedSet {
+        pages: HashMap<u64, PageMeta>,
+        policy: Policy,
+        tick: u64,
+        rng: StdRng,
+    }
+
+    impl SortedSet {
+        pub fn new(policy: Policy, seed: u64) -> Self {
+            SortedSet {
+                pages: HashMap::new(),
+                policy,
+                tick: 0,
+                rng: StdRng::seed_from_u64(seed),
+            }
+        }
+
+        pub fn len(&self) -> usize {
+            self.pages.len()
+        }
+
+        pub fn insert(&mut self, page: VirtPage) {
+            self.tick += 1;
+            self.pages.insert(
+                page.number(),
+                PageMeta {
+                    last_use: self.tick,
+                    uses: 1,
+                    outstanding: 0,
+                },
+            );
+        }
+
+        pub fn touch(&mut self, page: VirtPage) {
+            self.tick += 1;
+            if let Some(meta) = self.pages.get_mut(&page.number()) {
+                meta.last_use = self.tick;
+                meta.uses += 1;
+            }
+        }
+
+        pub fn remove(&mut self, page: VirtPage) {
+            self.pages.remove(&page.number());
+        }
+
+        pub fn hold(&mut self, page: VirtPage) {
+            if let Some(meta) = self.pages.get_mut(&page.number()) {
+                meta.outstanding += 1;
+            }
+        }
+
+        pub fn release(&mut self, page: VirtPage) {
+            if let Some(meta) = self.pages.get_mut(&page.number()) {
+                meta.outstanding = meta.outstanding.saturating_sub(1);
+            }
+        }
+
+        pub fn select_victims(&mut self, count: usize) -> Vec<VirtPage> {
+            let mut candidates: Vec<(u64, PageMeta)> = self
+                .pages
+                .iter()
+                .filter(|(_, m)| m.outstanding == 0)
+                .map(|(p, m)| (*p, *m))
+                .collect();
+            if candidates.is_empty() || count == 0 {
+                return Vec::new();
+            }
+            match self.policy {
+                Policy::Lru => candidates.sort_by_key(|(p, m)| (m.last_use, *p)),
+                Policy::Mru => candidates.sort_by_key(|(p, m)| (std::cmp::Reverse(m.last_use), *p)),
+                Policy::Lfu => candidates.sort_by_key(|(p, m)| (m.uses, m.last_use, *p)),
+                Policy::Mfu => {
+                    candidates.sort_by_key(|(p, m)| (std::cmp::Reverse(m.uses), m.last_use, *p))
+                }
+                Policy::Random => {
+                    let n = candidates.len();
+                    candidates.sort_by_key(|(p, _)| *p);
+                    for i in 0..count.min(n) {
+                        let j = self.rng.gen_range(i..n);
+                        candidates.swap(i, j);
+                    }
+                }
+            }
+            candidates
+                .into_iter()
+                .take(count)
+                .map(|(p, _)| VirtPage::new(p))
+                .collect()
+        }
+    }
+}
+
 fn any_assoc() -> impl Strategy<Value = Associativity> {
     prop_oneof![
         Just(Associativity::Direct),
@@ -123,6 +232,61 @@ proptest! {
         for v in &victims {
             prop_assert!(pages.contains(&v.number()));
             prop_assert!(!held.contains(&v.number()), "held page selected");
+        }
+    }
+
+    /// Differential check of every policy against the collect-and-sort
+    /// reference: over arbitrary interleavings of insert (including
+    /// re-insert of a tracked page), touch (including untracked pages),
+    /// hold, release, remove, and select (with or without evicting the
+    /// victims), the victims match in value and order and the sizes agree
+    /// at every step.
+    #[test]
+    fn victims_match_the_sorted_reference(
+        policy_ix in 0usize..5,
+        seed in any::<u64>(),
+        ops in proptest::collection::vec((0u8..6, 0u64..24, 1usize..8), 1..300),
+    ) {
+        let policy = Policy::ALL[policy_ix];
+        let mut set = PinnedSet::new(policy, seed);
+        let mut spec = reference::SortedSet::new(policy, seed);
+        for (op, vpn, k) in ops {
+            let page = VirtPage::new(vpn);
+            match op {
+                0 => {
+                    set.insert(page);
+                    spec.insert(page);
+                }
+                1 => {
+                    set.touch(page);
+                    spec.touch(page);
+                }
+                2 => {
+                    set.hold(page);
+                    spec.hold(page);
+                }
+                3 => {
+                    set.release(page);
+                    spec.release(page);
+                }
+                4 => {
+                    set.remove(page);
+                    spec.remove(page);
+                }
+                _ => {
+                    let got = set.select_victims(k);
+                    prop_assert_eq!(&got, &spec.select_victims(k));
+                    // Evict what was chosen, as the engines do — or, on
+                    // odd pages, select again later without evicting.
+                    if vpn % 2 == 0 {
+                        for v in got {
+                            set.remove(v);
+                            spec.remove(v);
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(set.len(), spec.len());
         }
     }
 

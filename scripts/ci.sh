@@ -26,9 +26,20 @@ cargo test -q --offline -p utlb-core mechanism::
 
 echo "== four-mechanism unification: shared pin core and variant ablations"
 cargo test -q --offline -p utlb-core pincore::
+cargo test -q --offline -p utlb-core policy::
+cargo test -q --offline -p utlb-core --test properties
 cargo test -q --offline -p utlb-core perproc::
 cargo test -q --offline -p utlb-core indexed::
 cargo test -q --offline -p utlb-sim ablations::
+
+echo "== memory-limited archives byte-identical"
+cargo run -q --release --offline -p utlb-bench --bin table5 -- --json results/table5.json \
+    > results/table5.txt
+cargo run -q --release --offline -p utlb-bench --bin ablations > results/ablations.txt
+git diff --exit-code -- results/table5.json results/table5.txt results/ablations.txt
+
+echo "== host-op benches smoke (replacement-set evict/insert and touch)"
+cargo bench -q --offline -p utlb-bench --bench host_ops -- --test
 
 echo "== observability: no-op probe overhead guard (<10%)"
 cargo run -q --release --offline -p utlb-bench --bin obs_guard -- --scale 0.3
