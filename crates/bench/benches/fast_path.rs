@@ -6,7 +6,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use utlb_core::{CacheConfig, PerProcessConfig, PerProcessEngine, UtlbConfig, UtlbEngine};
+use utlb_core::{
+    CacheConfig, PerProcessConfig, PerProcessEngine, TranslationMechanism, UtlbConfig, UtlbEngine,
+};
 use utlb_mem::{Host, VirtPage};
 use utlb_nic::Board;
 
@@ -62,12 +64,12 @@ fn bench_fast_path(c: &mut Criterion) {
         let pid = host.spawn_process();
         engine.register_process(&mut host, &mut board, pid).unwrap();
         engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(7))
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(7), 1)
             .unwrap();
         b.iter(|| {
             black_box(
                 engine
-                    .lookup(&mut host, &mut board, pid, VirtPage::new(7))
+                    .lookup_run(&mut host, &mut board, pid, VirtPage::new(7), 1)
                     .unwrap(),
             )
         })

@@ -12,7 +12,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 use utlb_core::obs::NoopProbe;
-use utlb_core::UtlbEngine;
+use utlb_core::{TranslationMechanism, UtlbEngine};
 use utlb_sim::RunOutputExt;
 use utlb_sim::{Run, SimConfig};
 use utlb_trace::{gen, SplashApp};

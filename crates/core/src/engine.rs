@@ -17,8 +17,8 @@
 use crate::obs::{Event, EvictReason, ProbeSlot};
 use crate::pincore::{charge_us, probe_stats_accessors, PinCore};
 use crate::{
-    CacheConfig, CostModel, HierTable, OutcomeBuf, PinBitVector, Policy, Result, SharedUtlbCache,
-    UtlbError,
+    CacheConfig, CacheStats, CostModel, HierTable, LookupBatch, OutcomeBuf, PinBitVector, Policy,
+    Result, SharedUtlbCache, TranslationMechanism, UtlbError,
 };
 use std::collections::HashMap;
 use utlb_mem::{Host, PhysAddr, ProcessId, VirtAddr, VirtPage};
@@ -311,8 +311,6 @@ impl UtlbEngine {
         })
     }
 
-    probe_stats_accessors!();
-
     /// The engine configuration.
     pub fn config(&self) -> &UtlbConfig {
         &self.cfg
@@ -321,61 +319,6 @@ impl UtlbEngine {
     /// The shared NIC translation cache.
     pub fn cache(&self) -> &SharedUtlbCache {
         &self.cache
-    }
-
-    /// Registers `pid`: allocates its directory in NIC SRAM and applies the
-    /// pinned-memory limit to the host driver.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UtlbError::AlreadyRegistered`] on a duplicate, and
-    /// propagates SRAM exhaustion.
-    pub fn register_process(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-    ) -> Result<()> {
-        if self.procs.contains_key(&pid) {
-            return Err(UtlbError::AlreadyRegistered(pid));
-        }
-        let garbage = host.driver().garbage_addr();
-        let hier = HierTable::new(pid, &mut board.sram, garbage)?;
-        host.driver_mut()
-            .pins_mut()
-            .set_limit(pid, self.cfg.mem_limit_pages);
-        board.cmdq.register(pid);
-        self.procs.insert(
-            pid,
-            ProcState {
-                bitvec: PinBitVector::new(),
-                hier,
-                core: PinCore::new(self.cfg.policy, self.cfg.seed, pid),
-            },
-        );
-        Ok(())
-    }
-
-    /// Removes `pid`: unpins everything it had pinned and drops its cache
-    /// lines and tables.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UtlbError::UnregisteredProcess`] if `pid` is unknown.
-    pub fn unregister_process(
-        &mut self,
-        host: &mut Host,
-        _board: &mut Board,
-        pid: ProcessId,
-    ) -> Result<()> {
-        let mut state = self
-            .procs
-            .remove(&pid)
-            .ok_or(UtlbError::UnregisteredProcess(pid))?;
-        self.cache.invalidate_process(pid);
-        state.hier.release(host.physical_mut());
-        host.driver_mut().pins_mut().release_process(pid);
-        Ok(())
     }
 
     /// Marks the pages of a buffer as held by an outstanding send so the
@@ -575,88 +518,6 @@ impl UtlbEngine {
         })
     }
 
-    /// Batched lookup: translates `npages` pages starting at `start`,
-    /// appending outcomes into the caller-owned buffer.
-    ///
-    /// Pages whose user-level check and cache probe would both hit —
-    /// decided by pure reads of the pin bitmap (word-wise, via
-    /// [`PinBitVector::pinned_prefix`]) and a stats-free cache peek — take
-    /// a coalesced fast path: the per-process state is resolved once per
-    /// run of consecutive hits, and the run's identical clock charges are
-    /// applied in one advance. Any other page settles the pending charges
-    /// and goes through the scalar per-page walk unchanged, so outcomes,
-    /// statistics, probe events, and the clock are identical to
-    /// [`UtlbEngine::lookup`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates pinning, memory, and protocol errors.
-    #[allow(clippy::too_many_arguments)] // host/board/pid threading is the engine calling convention
-    pub fn lookup_run_into(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-        start: VirtPage,
-        npages: u64,
-        out: &mut OutcomeBuf,
-    ) -> Result<()> {
-        if !self.procs.contains_key(&pid) {
-            return Err(UtlbError::UnregisteredProcess(pid));
-        }
-        // Per-record resolution: the two hit charges, converted once
-        // instead of per page. A hit's Lookup charge is the clock delta
-        // user + ni, independent of absolute time, so runs of hits can
-        // defer their advances.
-        let user_ns = Nanos::from_micros(self.cfg.cost.user_check_us);
-        let ni_ns = Nanos::from_micros(self.cfg.cost.ni_check_us);
-        let hit_ns = user_ns + ni_ns;
-        let hit_event_ns = hit_ns.as_nanos();
-
-        let mut pending = 0u64; // coalesced hit charges not yet on the clock
-        let mut i = 0u64;
-        while i < npages {
-            let page = start.offset(i);
-            // Maximal run of pure-hit pages from `page` (pure reads only).
-            let state = self.procs.get(&pid).expect("checked above");
-            let pinned = state.bitvec.pinned_prefix(page, npages - i);
-            let mut run = 0u64;
-            while run < pinned && self.cache.peek(pid, start.offset(i + run)).is_some() {
-                run += 1;
-            }
-            if run == 0 {
-                // Slow page: settle the coalesced time first so the miss
-                // path sees the same absolute clock as the scalar walk.
-                if pending > 0 {
-                    board.clock.advance(hit_ns * pending);
-                    pending = 0;
-                }
-                out.push(self.lookup_page(host, board, pid, page)?);
-                i += 1;
-                continue;
-            }
-            let state = self.procs.get_mut(&pid).expect("checked above");
-            for k in 0..run {
-                let page = start.offset(i + k);
-                state.core.fast_hit(page);
-                let phys = self.cache.lookup(pid, page).expect("peeked above");
-                self.probe.emit(pid, Event::Lookup { ns: hit_event_ns });
-                out.push(PageOutcome {
-                    page,
-                    phys,
-                    check_miss: false,
-                    ni_miss: false,
-                });
-            }
-            pending += run;
-            i += run;
-        }
-        if pending > 0 {
-            board.clock.advance(hit_ns * pending);
-        }
-        Ok(())
-    }
-
     fn lookup_page(
         &mut self,
         host: &mut Host,
@@ -842,6 +703,153 @@ impl UtlbEngine {
         }
         Ok(first)
     }
+}
+
+impl TranslationMechanism for UtlbEngine {
+    fn name(&self) -> &'static str {
+        "UTLB"
+    }
+
+    fn kernel_pins(&self) -> bool {
+        false
+    }
+
+    /// Registers `pid`: allocates its directory in NIC SRAM and applies the
+    /// pinned-memory limit to the host driver.
+    fn register_process(
+        &mut self,
+        host: &mut Host,
+        board: &mut Board,
+        pid: ProcessId,
+    ) -> Result<()> {
+        if self.procs.contains_key(&pid) {
+            return Err(UtlbError::AlreadyRegistered(pid));
+        }
+        let garbage = host.driver().garbage_addr();
+        let hier = HierTable::new(pid, &mut board.sram, garbage)?;
+        host.driver_mut()
+            .pins_mut()
+            .set_limit(pid, self.cfg.mem_limit_pages);
+        board.cmdq.register(pid);
+        self.procs.insert(
+            pid,
+            ProcState {
+                bitvec: PinBitVector::new(),
+                hier,
+                core: PinCore::new(self.cfg.policy, self.cfg.seed, pid),
+            },
+        );
+        Ok(())
+    }
+
+    /// Removes `pid`: unpins everything it had pinned and drops its cache
+    /// lines and tables.
+    fn unregister_process(
+        &mut self,
+        host: &mut Host,
+        _board: &mut Board,
+        pid: ProcessId,
+    ) -> Result<()> {
+        let mut state = self
+            .procs
+            .remove(&pid)
+            .ok_or(UtlbError::UnregisteredProcess(pid))?;
+        self.cache.invalidate_process(pid);
+        state.hier.release(host.physical_mut());
+        host.driver_mut().pins_mut().release_process(pid);
+        Ok(())
+    }
+
+    fn lookup_run(
+        &mut self,
+        host: &mut Host,
+        board: &mut Board,
+        pid: ProcessId,
+        start: VirtPage,
+        npages: u64,
+    ) -> Result<Vec<PageOutcome>> {
+        self.lookup(host, board, pid, start, npages)
+            .map(|r| r.pages)
+    }
+
+    /// Pages whose user-level check and cache probe would both hit —
+    /// decided by pure reads of the pin bitmap (word-wise, via
+    /// [`PinBitVector::pinned_prefix`]) and a stats-free cache peek — take
+    /// a coalesced fast path: the per-process state is resolved once per
+    /// run of consecutive hits, and the run's identical clock charges are
+    /// applied in one advance. Any other page settles the pending charges
+    /// and goes through the scalar per-page walk unchanged, so outcomes,
+    /// statistics, probe events, and the clock are identical to
+    /// [`UtlbEngine::lookup`].
+    fn lookup_run_into(
+        &mut self,
+        host: &mut Host,
+        board: &mut Board,
+        batch: LookupBatch,
+        out: &mut OutcomeBuf,
+    ) -> Result<()> {
+        let LookupBatch { pid, start, npages } = batch;
+        if !self.procs.contains_key(&pid) {
+            return Err(UtlbError::UnregisteredProcess(pid));
+        }
+        // Per-record resolution: the two hit charges, converted once
+        // instead of per page. A hit's Lookup charge is the clock delta
+        // user + ni, independent of absolute time, so runs of hits can
+        // defer their advances.
+        let user_ns = Nanos::from_micros(self.cfg.cost.user_check_us);
+        let ni_ns = Nanos::from_micros(self.cfg.cost.ni_check_us);
+        let hit_ns = user_ns + ni_ns;
+        let hit_event_ns = hit_ns.as_nanos();
+
+        let mut pending = 0u64; // coalesced hit charges not yet on the clock
+        let mut i = 0u64;
+        while i < npages {
+            let page = start.offset(i);
+            // Maximal run of pure-hit pages from `page` (pure reads only).
+            let state = self.procs.get(&pid).expect("checked above");
+            let pinned = state.bitvec.pinned_prefix(page, npages - i);
+            let mut run = 0u64;
+            while run < pinned && self.cache.peek(pid, start.offset(i + run)).is_some() {
+                run += 1;
+            }
+            if run == 0 {
+                // Slow page: settle the coalesced time first so the miss
+                // path sees the same absolute clock as the scalar walk.
+                if pending > 0 {
+                    board.clock.advance(hit_ns * pending);
+                    pending = 0;
+                }
+                out.push(self.lookup_page(host, board, pid, page)?);
+                i += 1;
+                continue;
+            }
+            let state = self.procs.get_mut(&pid).expect("checked above");
+            for k in 0..run {
+                let page = start.offset(i + k);
+                state.core.fast_hit(page);
+                let phys = self.cache.lookup(pid, page).expect("peeked above");
+                self.probe.emit(pid, Event::Lookup { ns: hit_event_ns });
+                out.push(PageOutcome {
+                    page,
+                    phys,
+                    check_miss: false,
+                    ni_miss: false,
+                });
+            }
+            pending += run;
+            i += run;
+        }
+        if pending > 0 {
+            board.clock.advance(hit_ns * pending);
+        }
+        Ok(())
+    }
+
+    fn cache_stats(&self) -> CacheStats {
+        self.cache.stats()
+    }
+
+    probe_stats_accessors!(|s| &s.core);
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@
 //! # Example
 //!
 //! ```
-//! use utlb_core::{UtlbConfig, UtlbEngine};
+//! use utlb_core::{TranslationMechanism, UtlbConfig, UtlbEngine};
 //! use utlb_mem::{Host, VirtAddr};
 //! use utlb_nic::Board;
 //!
@@ -94,7 +94,7 @@ pub use engine::{LookupReport, PageOutcome, UtlbConfig, UtlbConfigBuilder, UtlbE
 pub use error::UtlbError;
 pub use hier::{DirEntry, HierTable, DIR_ENTRIES, LEAF_ENTRIES};
 pub use indexed::{IndexedConfig, IndexedEngine};
-pub use intr::{IntrConfig, IntrEngine, IntrOutcome};
+pub use intr::{IntrConfig, IntrEngine};
 pub use lookup::{UserLookupTree, UtlbIndex};
 pub use mechanism::TranslationMechanism;
 pub use perproc::{PerProcessConfig, PerProcessEngine};

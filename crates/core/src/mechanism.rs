@@ -9,19 +9,18 @@
 //! engine.
 
 use crate::obs::Probe;
-use crate::{
-    CacheStats, IndexedEngine, IntrEngine, LookupBatch, OutcomeBuf, PageOutcome, PerProcessEngine,
-    Result, TranslationStats, UtlbEngine,
-};
+use crate::{CacheStats, LookupBatch, OutcomeBuf, PageOutcome, Result, TranslationStats};
 use utlb_mem::{Host, ProcessId, VirtPage};
 use utlb_nic::Board;
 
 /// A NIC address-translation mechanism, as the simulation drives one.
 ///
-/// Implemented by all four engines: [`PerProcessEngine`] (per-process UTLB,
-/// §3.1), [`IndexedEngine`] (Shared UTLB-Cache over indexed tables, §3.2),
-/// [`UtlbEngine`] (Hierarchical UTLB, §3.3), and [`IntrEngine`]
-/// (interrupt-based baseline, §6.2). Per-page outcomes are normalized to
+/// Implemented by all four engines, each in its own module:
+/// [`PerProcessEngine`](crate::PerProcessEngine) (per-process UTLB, §3.1),
+/// [`IndexedEngine`](crate::IndexedEngine) (Shared UTLB-Cache over indexed
+/// tables, §3.2), [`UtlbEngine`](crate::UtlbEngine) (Hierarchical UTLB,
+/// §3.3), and [`IntrEngine`](crate::IntrEngine) (interrupt-based baseline,
+/// §6.2). Per-page outcomes are normalized to
 /// [`PageOutcome`]; the interrupt-based design has no user-level check, so
 /// its outcomes always report `check_miss: false`, and the per-process UTLB
 /// reads a statically allocated SRAM table, so its outcomes always report
@@ -65,11 +64,15 @@ pub trait TranslationMechanism {
         pid: ProcessId,
     ) -> Result<()>;
 
-    /// Translates `npages` pages starting at `start`.
+    /// Translates `npages` pages starting at `start` — the scalar reference
+    /// the batched [`lookup_run_into`](TranslationMechanism::lookup_run_into)
+    /// path is tested against.
     ///
     /// # Errors
     ///
-    /// Propagates pinning and memory errors.
+    /// Returns [`UtlbError::UnregisteredProcess`](crate::UtlbError) if `pid`
+    /// is unknown, even when `npages` is zero; propagates pinning and memory
+    /// errors.
     fn lookup_run(
         &mut self,
         host: &mut Host,
@@ -84,26 +87,20 @@ pub trait TranslationMechanism {
     ///
     /// Outcomes, statistics, probe events, and clock charges are identical
     /// to [`lookup_run`](TranslationMechanism::lookup_run); only the
-    /// software overhead differs. The default implementation delegates to
-    /// the scalar path; the four engines override it with fast paths that
-    /// resolve per-process state once per record and coalesce runs of
-    /// consecutive hit pages.
+    /// software overhead differs. The four engines implement it with fast
+    /// paths that resolve per-process state once per record and coalesce
+    /// runs of consecutive hit pages.
     ///
     /// # Errors
     ///
-    /// Propagates pinning and memory errors, as for
-    /// [`lookup_run`](TranslationMechanism::lookup_run).
+    /// As for [`lookup_run`](TranslationMechanism::lookup_run).
     fn lookup_run_into(
         &mut self,
         host: &mut Host,
         board: &mut Board,
         batch: LookupBatch,
         out: &mut OutcomeBuf,
-    ) -> Result<()> {
-        let pages = self.lookup_run(host, board, batch.pid, batch.start, batch.npages)?;
-        out.extend_from_slice(&pages);
-        Ok(())
-    }
+    ) -> Result<()>;
 
     /// Per-process statistics.
     ///
@@ -127,315 +124,13 @@ pub trait TranslationMechanism {
     fn take_probe(&mut self) -> Option<Box<dyn Probe>>;
 }
 
-impl TranslationMechanism for UtlbEngine {
-    fn name(&self) -> &'static str {
-        "UTLB"
-    }
-
-    fn kernel_pins(&self) -> bool {
-        false
-    }
-
-    fn register_process(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-    ) -> Result<()> {
-        UtlbEngine::register_process(self, host, board, pid)
-    }
-
-    fn unregister_process(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-    ) -> Result<()> {
-        UtlbEngine::unregister_process(self, host, board, pid)
-    }
-
-    fn lookup_run(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-        start: VirtPage,
-        npages: u64,
-    ) -> Result<Vec<PageOutcome>> {
-        UtlbEngine::lookup(self, host, board, pid, start, npages).map(|r| r.pages)
-    }
-
-    fn lookup_run_into(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        batch: LookupBatch,
-        out: &mut OutcomeBuf,
-    ) -> Result<()> {
-        UtlbEngine::lookup_run_into(self, host, board, batch.pid, batch.start, batch.npages, out)
-    }
-
-    fn stats(&self, pid: ProcessId) -> Result<TranslationStats> {
-        UtlbEngine::stats(self, pid)
-    }
-
-    fn aggregate_stats(&self) -> TranslationStats {
-        UtlbEngine::aggregate_stats(self)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        self.cache().stats()
-    }
-
-    fn set_probe(&mut self, probe: Box<dyn Probe>) -> Option<Box<dyn Probe>> {
-        UtlbEngine::set_probe(self, probe)
-    }
-
-    fn take_probe(&mut self) -> Option<Box<dyn Probe>> {
-        UtlbEngine::take_probe(self)
-    }
-}
-
-impl TranslationMechanism for PerProcessEngine {
-    fn name(&self) -> &'static str {
-        "PerProc"
-    }
-
-    fn kernel_pins(&self) -> bool {
-        false
-    }
-
-    fn register_process(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-    ) -> Result<()> {
-        PerProcessEngine::register_process(self, host, board, pid)
-    }
-
-    fn unregister_process(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-    ) -> Result<()> {
-        PerProcessEngine::unregister_process(self, host, board, pid)
-    }
-
-    fn lookup_run(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-        start: VirtPage,
-        npages: u64,
-    ) -> Result<Vec<PageOutcome>> {
-        let mut out = Vec::with_capacity(npages as usize);
-        for page in start.range(npages) {
-            out.push(PerProcessEngine::lookup(self, host, board, pid, page)?);
-        }
-        Ok(out)
-    }
-
-    fn lookup_run_into(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        batch: LookupBatch,
-        out: &mut OutcomeBuf,
-    ) -> Result<()> {
-        PerProcessEngine::lookup_run_into(
-            self,
-            host,
-            board,
-            batch.pid,
-            batch.start,
-            batch.npages,
-            out,
-        )
-    }
-
-    fn stats(&self, pid: ProcessId) -> Result<TranslationStats> {
-        PerProcessEngine::stats(self, pid)
-    }
-
-    fn aggregate_stats(&self) -> TranslationStats {
-        PerProcessEngine::aggregate_stats(self)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        // The NIC reads the SRAM table directly — there is no shared cache
-        // in this design, so the counters are identically zero.
-        CacheStats::default()
-    }
-
-    fn set_probe(&mut self, probe: Box<dyn Probe>) -> Option<Box<dyn Probe>> {
-        PerProcessEngine::set_probe(self, probe)
-    }
-
-    fn take_probe(&mut self) -> Option<Box<dyn Probe>> {
-        PerProcessEngine::take_probe(self)
-    }
-}
-
-impl TranslationMechanism for IndexedEngine {
-    fn name(&self) -> &'static str {
-        "Indexed"
-    }
-
-    fn kernel_pins(&self) -> bool {
-        false
-    }
-
-    fn register_process(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-    ) -> Result<()> {
-        IndexedEngine::register_process(self, host, board, pid)
-    }
-
-    fn unregister_process(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-    ) -> Result<()> {
-        IndexedEngine::unregister_process(self, host, board, pid)
-    }
-
-    fn lookup_run(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-        start: VirtPage,
-        npages: u64,
-    ) -> Result<Vec<PageOutcome>> {
-        let mut out = Vec::with_capacity(npages as usize);
-        for page in start.range(npages) {
-            out.push(IndexedEngine::lookup(self, host, board, pid, page)?);
-        }
-        Ok(out)
-    }
-
-    fn lookup_run_into(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        batch: LookupBatch,
-        out: &mut OutcomeBuf,
-    ) -> Result<()> {
-        IndexedEngine::lookup_run_into(self, host, board, batch.pid, batch.start, batch.npages, out)
-    }
-
-    fn stats(&self, pid: ProcessId) -> Result<TranslationStats> {
-        IndexedEngine::stats(self, pid)
-    }
-
-    fn aggregate_stats(&self) -> TranslationStats {
-        IndexedEngine::aggregate_stats(self)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        self.cache().stats()
-    }
-
-    fn set_probe(&mut self, probe: Box<dyn Probe>) -> Option<Box<dyn Probe>> {
-        IndexedEngine::set_probe(self, probe)
-    }
-
-    fn take_probe(&mut self) -> Option<Box<dyn Probe>> {
-        IndexedEngine::take_probe(self)
-    }
-}
-
-impl TranslationMechanism for IntrEngine {
-    fn name(&self) -> &'static str {
-        "Intr"
-    }
-
-    fn kernel_pins(&self) -> bool {
-        true
-    }
-
-    fn register_process(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-    ) -> Result<()> {
-        IntrEngine::register_process(self, host, board, pid)
-    }
-
-    fn unregister_process(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-    ) -> Result<()> {
-        IntrEngine::unregister_process(self, host, board, pid)
-    }
-
-    fn lookup_run(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-        start: VirtPage,
-        npages: u64,
-    ) -> Result<Vec<PageOutcome>> {
-        IntrEngine::lookup(self, host, board, pid, start, npages).map(|outcomes| {
-            outcomes
-                .into_iter()
-                .map(|o| PageOutcome {
-                    page: o.page,
-                    phys: o.phys,
-                    // No user-level check exists in this design.
-                    check_miss: false,
-                    ni_miss: o.ni_miss,
-                })
-                .collect()
-        })
-    }
-
-    fn lookup_run_into(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        batch: LookupBatch,
-        out: &mut OutcomeBuf,
-    ) -> Result<()> {
-        IntrEngine::lookup_run_into(self, host, board, batch.pid, batch.start, batch.npages, out)
-    }
-
-    fn stats(&self, pid: ProcessId) -> Result<TranslationStats> {
-        IntrEngine::stats(self, pid)
-    }
-
-    fn aggregate_stats(&self) -> TranslationStats {
-        IntrEngine::aggregate_stats(self)
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        self.cache().stats()
-    }
-
-    fn set_probe(&mut self, probe: Box<dyn Probe>) -> Option<Box<dyn Probe>> {
-        IntrEngine::set_probe(self, probe)
-    }
-
-    fn take_probe(&mut self) -> Option<Box<dyn Probe>> {
-        IntrEngine::take_probe(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CacheConfig, IndexedConfig, IntrConfig, PerProcessConfig, UtlbConfig};
+    use crate::{
+        CacheConfig, IndexedConfig, IndexedEngine, IntrConfig, IntrEngine, PerProcessConfig,
+        PerProcessEngine, UtlbConfig, UtlbEngine, UtlbError,
+    };
 
     fn drive<M: TranslationMechanism>(mut mech: M) -> (TranslationStats, CacheStats) {
         let mut host = Host::new(1 << 16);
@@ -510,6 +205,64 @@ mod tests {
         );
     }
 
+    fn all_four() -> Vec<Box<dyn TranslationMechanism>> {
+        vec![
+            Box::new(UtlbEngine::new(UtlbConfig::default())),
+            Box::new(PerProcessEngine::new(PerProcessConfig::default())),
+            Box::new(IndexedEngine::new(IndexedConfig::default())),
+            Box::new(IntrEngine::new(IntrConfig::default())),
+        ]
+    }
+
+    /// The registration contract, identical for every mechanism and for
+    /// both lookup entry points: an unknown pid is rejected before any work
+    /// (even for an empty run), a duplicate registration is refused, and a
+    /// process can be unregistered only once.
+    #[test]
+    fn every_mechanism_enforces_the_same_registration_contract() {
+        for mut boxed in all_four() {
+            let mech: &mut dyn TranslationMechanism = boxed.as_mut();
+            let name = mech.name();
+            let mut host = Host::new(1 << 16);
+            let mut board = Board::new();
+            let pid = host.spawn_process();
+            let ghost = ProcessId::new(404);
+            let unknown = |r: Result<()>| r == Err(UtlbError::UnregisteredProcess(ghost));
+
+            let mut out = OutcomeBuf::new();
+            let t0 = board.clock.now();
+            for npages in [0, 2] {
+                let scalar =
+                    mech.lookup_run(&mut host, &mut board, ghost, VirtPage::new(8), npages);
+                assert!(unknown(scalar.map(drop)), "{name}: lookup_run({npages})");
+                let batch = LookupBatch::new(ghost, VirtPage::new(8), npages);
+                let batched = mech.lookup_run_into(&mut host, &mut board, batch, &mut out);
+                assert!(unknown(batched), "{name}: lookup_run_into({npages})");
+            }
+            assert!(out.is_empty(), "{name}: rejected batches append nothing");
+            assert_eq!(board.clock.now(), t0, "{name}: rejected lookups are free");
+            assert!(unknown(mech.stats(ghost).map(drop)), "{name}: stats");
+            assert!(
+                unknown(mech.unregister_process(&mut host, &mut board, ghost)),
+                "{name}: unregister of an unknown pid"
+            );
+            assert_eq!(mech.aggregate_stats(), TranslationStats::default());
+
+            mech.register_process(&mut host, &mut board, pid).unwrap();
+            assert_eq!(
+                mech.register_process(&mut host, &mut board, pid),
+                Err(UtlbError::AlreadyRegistered(pid)),
+                "{name}: duplicate registration"
+            );
+            mech.unregister_process(&mut host, &mut board, pid).unwrap();
+            assert_eq!(
+                mech.unregister_process(&mut host, &mut board, pid),
+                Err(UtlbError::UnregisteredProcess(pid)),
+                "{name}: second unregister"
+            );
+        }
+    }
+
     #[test]
     fn both_engines_run_through_the_trait() {
         let utlb = UtlbEngine::new(UtlbConfig {
@@ -561,7 +314,7 @@ mod tests {
         let mut host = Host::new(1 << 16);
         let mut board = Board::new();
         let pid = host.spawn_process();
-        TranslationMechanism::register_process(&mut pp, &mut host, &mut board, pid).unwrap();
+        pp.register_process(&mut host, &mut board, pid).unwrap();
         for round in 0..2 {
             let pages = pp
                 .lookup_run(&mut host, &mut board, pid, VirtPage::new(40), 4)
@@ -572,7 +325,7 @@ mod tests {
         }
         assert_eq!(pp.aggregate_stats().lookups, 8);
         assert_eq!(pp.cache_stats(), CacheStats::default());
-        TranslationMechanism::unregister_process(&mut pp, &mut host, &mut board, pid).unwrap();
+        pp.unregister_process(&mut host, &mut board, pid).unwrap();
         assert_eq!(host.driver().pins().pinned_pages(pid), 0);
     }
 }

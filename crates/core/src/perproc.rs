@@ -14,7 +14,10 @@ use crate::obs::{Event, EvictReason, ProbeSlot};
 use crate::pincore::{charge_us, probe_stats_accessors, PinCore};
 use crate::policy::Policy;
 use crate::table::PerProcessTable;
-use crate::{CostModel, OutcomeBuf, PageOutcome, Result, UtlbError};
+use crate::{
+    CacheStats, CostModel, LookupBatch, OutcomeBuf, PageOutcome, Result, TranslationMechanism,
+    UtlbError,
+};
 use std::collections::HashMap;
 use utlb_mem::{Host, ProcessId, VirtPage};
 use utlb_nic::{Board, Nanos};
@@ -69,66 +72,9 @@ impl PerProcessEngine {
         }
     }
 
-    probe_stats_accessors!();
-
-    /// Registers `pid`, statically allocating its table in NIC SRAM —
-    /// the allocation that motivates the Shared UTLB-Cache when it fails.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UtlbError::AlreadyRegistered`] on duplicates and propagates
-    /// SRAM exhaustion.
-    pub fn register_process(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-    ) -> Result<()> {
-        if self.procs.contains_key(&pid) {
-            return Err(UtlbError::AlreadyRegistered(pid));
-        }
-        let garbage = host.driver().garbage_addr();
-        let table = PerProcessTable::new(pid, self.cfg.table_entries, &mut board.sram, garbage)?;
-        self.procs.insert(
-            pid,
-            ProcState {
-                table,
-                tree: UserLookupTree::new(),
-                core: PinCore::new(self.cfg.policy, self.cfg.seed, pid),
-            },
-        );
-        Ok(())
-    }
-
-    /// Removes `pid` and unpins everything it had pinned. The statically
-    /// allocated SRAM region is *not* reclaimed — the board allocator is a
-    /// bump allocator, which is exactly the §3.1 design cost this variant
-    /// exists to demonstrate: static tables occupy SRAM for the life of the
-    /// board.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UtlbError::UnregisteredProcess`] if `pid` is unknown.
-    pub fn unregister_process(
-        &mut self,
-        host: &mut Host,
-        _board: &mut Board,
-        pid: ProcessId,
-    ) -> Result<()> {
-        self.procs
-            .remove(&pid)
-            .ok_or(UtlbError::UnregisteredProcess(pid))?;
-        host.driver_mut().pins_mut().release_process(pid);
-        Ok(())
-    }
-
-    /// Translates one page: user-level tree lookup, then an SRAM table read.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pinning and SRAM errors; [`UtlbError::TableFull`] if no
-    /// entry can be evicted.
-    pub fn lookup(
+    /// Translates one page of a registered process: user-level tree
+    /// lookup, then an SRAM table read.
+    fn lookup_page(
         &mut self,
         host: &mut Host,
         board: &mut Board,
@@ -150,9 +96,7 @@ impl PerProcessEngine {
                 events.push(ev);
             }
         };
-        let state = procs
-            .get_mut(&pid)
-            .ok_or(UtlbError::UnregisteredProcess(pid))?;
+        let state = procs.get_mut(&pid).expect("checked by caller");
         state.core.stats.lookups += 1;
 
         // User-level lookup: two memory references.
@@ -220,33 +164,92 @@ impl PerProcessEngine {
             ni_miss: false,
         })
     }
+}
 
-    /// Batched lookup: translates `npages` pages starting at `start`,
-    /// appending outcomes into the caller-owned buffer.
-    ///
-    /// The user-level tree's leaf slice is resolved once per run
-    /// ([`UserLookupTree::leaf`]); consecutive mapped pages inside it take
-    /// a coalesced fast path — one SRAM table read each, their identical
-    /// clock charges applied in one advance. An unmapped page settles the
-    /// pending charges and goes through the scalar
-    /// [`lookup`](PerProcessEngine::lookup) unchanged, so outcomes,
-    /// statistics, probe events, and the clock are identical to the scalar
-    /// walk.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pinning and SRAM errors; [`UtlbError::TableFull`] if no
-    /// entry can be evicted.
-    #[allow(clippy::too_many_arguments)] // host/board/pid threading is the engine calling convention
-    pub fn lookup_run_into(
+impl TranslationMechanism for PerProcessEngine {
+    fn name(&self) -> &'static str {
+        "PerProc"
+    }
+
+    fn kernel_pins(&self) -> bool {
+        false
+    }
+
+    /// Registers `pid`, statically allocating its table in NIC SRAM —
+    /// the allocation that motivates the Shared UTLB-Cache when it fails.
+    fn register_process(
+        &mut self,
+        host: &mut Host,
+        board: &mut Board,
+        pid: ProcessId,
+    ) -> Result<()> {
+        if self.procs.contains_key(&pid) {
+            return Err(UtlbError::AlreadyRegistered(pid));
+        }
+        let garbage = host.driver().garbage_addr();
+        let table = PerProcessTable::new(pid, self.cfg.table_entries, &mut board.sram, garbage)?;
+        self.procs.insert(
+            pid,
+            ProcState {
+                table,
+                tree: UserLookupTree::new(),
+                core: PinCore::new(self.cfg.policy, self.cfg.seed, pid),
+            },
+        );
+        Ok(())
+    }
+
+    /// Removes `pid` and unpins everything it had pinned. The statically
+    /// allocated SRAM region is *not* reclaimed — the board allocator is a
+    /// bump allocator, which is exactly the §3.1 design cost this variant
+    /// exists to demonstrate: static tables occupy SRAM for the life of the
+    /// board.
+    fn unregister_process(
+        &mut self,
+        host: &mut Host,
+        _board: &mut Board,
+        pid: ProcessId,
+    ) -> Result<()> {
+        self.procs
+            .remove(&pid)
+            .ok_or(UtlbError::UnregisteredProcess(pid))?;
+        host.driver_mut().pins_mut().release_process(pid);
+        Ok(())
+    }
+
+    fn lookup_run(
         &mut self,
         host: &mut Host,
         board: &mut Board,
         pid: ProcessId,
         start: VirtPage,
         npages: u64,
+    ) -> Result<Vec<PageOutcome>> {
+        if !self.procs.contains_key(&pid) {
+            return Err(UtlbError::UnregisteredProcess(pid));
+        }
+        let mut out = Vec::with_capacity(npages as usize);
+        for page in start.range(npages) {
+            out.push(self.lookup_page(host, board, pid, page)?);
+        }
+        Ok(out)
+    }
+
+    /// The user-level tree's leaf slice is resolved once per run
+    /// ([`UserLookupTree::leaf`]); consecutive mapped pages inside it take
+    /// a coalesced fast path — one SRAM table read each, their identical
+    /// clock charges applied in one advance. An unmapped page settles the
+    /// pending charges and goes through the scalar per-page walk
+    /// unchanged, so outcomes, statistics, probe events, and the clock are
+    /// identical to [`lookup_run`](TranslationMechanism::lookup_run).
+    fn lookup_run_into(
+        &mut self,
+        host: &mut Host,
+        board: &mut Board,
+        batch: LookupBatch,
         out: &mut OutcomeBuf,
     ) -> Result<()> {
+        let LookupBatch { pid, start, npages } = batch;
         if !self.procs.contains_key(&pid) {
             return Err(UtlbError::UnregisteredProcess(pid));
         }
@@ -291,7 +294,7 @@ impl PerProcessEngine {
                     board.clock.advance(hit_ns * pending);
                     pending = 0;
                 }
-                out.push(self.lookup(host, board, pid, page)?);
+                out.push(self.lookup_page(host, board, pid, page)?);
                 i += 1;
             } else {
                 pending += run as u64;
@@ -303,6 +306,14 @@ impl PerProcessEngine {
         }
         Ok(())
     }
+
+    /// The NIC reads the SRAM table directly — there is no shared cache in
+    /// this design, so the counters are identically zero.
+    fn cache_stats(&self) -> CacheStats {
+        CacheStats::default()
+    }
+
+    probe_stats_accessors!(|s| &s.core);
 }
 
 #[cfg(test)]
@@ -326,7 +337,7 @@ mod tests {
         let (mut host, mut board, mut engine, pid) = setup(16);
         for round in 0..3 {
             let o = engine
-                .lookup(&mut host, &mut board, pid, VirtPage::new(5))
+                .lookup_page(&mut host, &mut board, pid, VirtPage::new(5))
                 .unwrap();
             assert_eq!(o.check_miss, round == 0);
             assert!(!o.ni_miss);
@@ -344,7 +355,7 @@ mod tests {
         let (mut host, mut board, mut engine, pid) = setup(2);
         for p in 1..=3 {
             engine
-                .lookup(&mut host, &mut board, pid, VirtPage::new(p))
+                .lookup_page(&mut host, &mut board, pid, VirtPage::new(p))
                 .unwrap();
         }
         let s = engine.stats(pid).unwrap();
@@ -360,7 +371,7 @@ mod tests {
         let va = utlb_mem::VirtAddr::new(0x40_0000);
         host.process_mut(pid).unwrap().write(va, b"pp").unwrap();
         let o = engine
-            .lookup(&mut host, &mut board, pid, va.page())
+            .lookup_page(&mut host, &mut board, pid, va.page())
             .unwrap();
         let mut buf = [0u8; 2];
         host.physical().read(o.phys, &mut buf).unwrap();
@@ -388,7 +399,7 @@ mod tests {
     fn unregister_releases_pins_but_not_sram() {
         let (mut host, mut board, mut engine, pid) = setup(16);
         engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(7))
+            .lookup_page(&mut host, &mut board, pid, VirtPage::new(7))
             .unwrap();
         assert!(host.driver().pins().pinned_pages(pid) > 0);
         let sram_before = board.sram.available();

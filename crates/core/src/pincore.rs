@@ -141,43 +141,34 @@ pub fn aggregate<'a>(cores: impl Iterator<Item = &'a PinCore>) -> TranslationSta
         .fold(TranslationStats::default(), |a, b| a + b)
 }
 
-/// Generates the accessor quartet every engine exposes identically —
+/// Generates the accessor quartet every engine's
+/// [`TranslationMechanism`](crate::TranslationMechanism) impl shares —
 /// probe attach/detach plus per-process and aggregate statistics — for an
-/// engine whose `procs` map values embed their [`PinCore`] in a `core`
-/// field.
+/// engine with a `probe` slot and a `procs` map. `$core` maps a `procs`
+/// value to its [`PinCore`].
 macro_rules! probe_stats_accessors {
-    () => {
-        /// Attaches an observability probe (see [`crate::obs`]), replacing
-        /// and returning any previous one. Detached engines skip all event
-        /// work.
-        pub fn set_probe(
+    ($core:expr) => {
+        fn set_probe(
             &mut self,
             probe: Box<dyn crate::obs::Probe>,
         ) -> Option<Box<dyn crate::obs::Probe>> {
             self.probe.attach(probe)
         }
 
-        /// Detaches and returns the probe, if one was attached.
-        pub fn take_probe(&mut self) -> Option<Box<dyn crate::obs::Probe>> {
+        fn take_probe(&mut self) -> Option<Box<dyn crate::obs::Probe>> {
             self.probe.detach()
         }
 
-        /// Per-process statistics.
-        ///
-        /// # Errors
-        ///
-        /// Returns [`crate::UtlbError::UnregisteredProcess`] if `pid` is
-        /// unknown.
-        pub fn stats(&self, pid: utlb_mem::ProcessId) -> crate::Result<crate::TranslationStats> {
+        fn stats(&self, pid: utlb_mem::ProcessId) -> crate::Result<crate::TranslationStats> {
             self.procs
                 .get(&pid)
-                .map(|s| s.core.stats)
+                .map($core)
+                .map(|c: &crate::PinCore| c.stats)
                 .ok_or(crate::UtlbError::UnregisteredProcess(pid))
         }
 
-        /// Statistics summed over all processes.
-        pub fn aggregate_stats(&self) -> crate::TranslationStats {
-            crate::pincore::aggregate(self.procs.values().map(|s| &s.core))
+        fn aggregate_stats(&self) -> crate::TranslationStats {
+            crate::pincore::aggregate(self.procs.values().map($core))
         }
     };
 }

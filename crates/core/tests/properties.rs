@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use utlb_core::{
-    Associativity, CacheConfig, PinBitVector, PinnedSet, Policy, SharedUtlbCache, UtlbConfig,
-    UtlbEngine,
+    Associativity, CacheConfig, PinBitVector, PinnedSet, Policy, SharedUtlbCache,
+    TranslationMechanism, UtlbConfig, UtlbEngine,
 };
 use utlb_mem::{Host, PhysAddr, ProcessId, VirtPage};
 use utlb_nic::Board;

@@ -699,11 +699,24 @@ mod tests {
 
     #[test]
     fn a_panicking_cell_poisons_the_sweep_promptly() {
-        // 100 cells, 4 workers; the most expensive cell panics instantly,
-        // every other cell sleeps. Without the poison flag the other
+        // 100 cells, 4 workers; the most expensive cell (dispatched first)
+        // panics, every other cell waits until that panic has begun
+        // unwinding and then sleeps. Without the poison flag the other
         // workers would grind through all 99 remaining cells before the
         // panic propagates; with it, only the cells already in flight
-        // finish.
+        // finish. Gating on unwinding progress, not wall time, keeps the
+        // test independent of how long the panic hook takes (a symbolized
+        // backtrace under `RUST_BACKTRACE=1` takes tens of milliseconds).
+        struct SetOnUnwind<'a>(&'a AtomicBool);
+        impl Drop for SetOnUnwind<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Release);
+            }
+        }
+        let unwinding = AtomicBool::new(false);
+        // Bounds the wait so an executor that never runs cell 17 cannot
+        // hang the test; it then fails the `done` bound instead.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         let computed = AtomicUsize::new(0);
         let grid: Vec<usize> = (0..100).collect();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -712,7 +725,12 @@ mod tests {
                 .workers(4)
                 .run(|&ix| {
                     if ix == 17 {
+                        let _unwinding = SetOnUnwind(&unwinding);
                         panic!("cell 17 exploded");
+                    }
+                    while !unwinding.load(Ordering::Acquire) && std::time::Instant::now() < deadline
+                    {
+                        std::thread::sleep(std::time::Duration::from_micros(100));
                     }
                     std::thread::sleep(std::time::Duration::from_millis(2));
                     computed.fetch_add(1, Ordering::Relaxed);

@@ -4,9 +4,9 @@
 //! each; both now ride the single builder-driven generic loop. The
 //! §3.1/§3.2 ablations likewise used to carry a bespoke `replay_trace`
 //! harness; they now go through the same loop. These tests replicate the
-//! *old* loops verbatim — driving the engines through their inherent
-//! methods, no trait involved — and require the refactored runners to
-//! produce byte-identical JSON.
+//! *old* loops — driving each engine's scalar entry points directly,
+//! record by record or page by page, instead of the batched runner — and
+//! require the refactored runners to produce byte-identical JSON.
 
 use proptest::prelude::*;
 use utlb_core::{
@@ -144,7 +144,7 @@ fn legacy_run_intr(trace: &Trace, cfg: &SimConfig) -> SimResult {
         board.clock.advance_to(Nanos::from_nanos(rec.ts_ns));
         let npages = rec.va.span_pages(rec.nbytes);
         let outcomes = engine
-            .lookup(&mut host, &mut board, rec.pid, rec.va.page(), npages)
+            .lookup_run(&mut host, &mut board, rec.pid, rec.va.page(), npages)
             .expect("trace lookups succeed");
         for o in &outcomes {
             classifier.access(rec.pid, o.page, o.ni_miss);
@@ -166,9 +166,9 @@ fn legacy_run_intr(trace: &Trace, cfg: &SimConfig) -> SimResult {
     }
 }
 
-/// The pre-refactor ablation harness, verbatim from
+/// The pre-refactor ablation harness from
 /// `experiments/ablations.rs`: spawn one process per trace pid, register,
-/// then walk every record's page span through a per-page `lookup` — never
+/// then walk every record's page span one page at a time — never
 /// advancing the simulated clock.
 fn legacy_replay<E>(
     trace: &Trace,
@@ -204,7 +204,7 @@ fn legacy_run_perproc(trace: &Trace, cfg: &SimConfig) -> TranslationStats {
                 .expect("registration succeeds");
         },
         |e, host, board, pid, page| {
-            e.lookup(host, board, pid, page)
+            e.lookup_run(host, board, pid, page, 1)
                 .expect("trace lookups succeed");
         },
     );
@@ -226,7 +226,7 @@ fn legacy_run_indexed(trace: &Trace, cfg: &SimConfig) -> (TranslationStats, Cach
                 .expect("registration succeeds");
         },
         |e, host, board, pid, page| {
-            e.lookup(host, board, pid, page)
+            e.lookup_run(host, board, pid, page, 1)
                 .expect("trace lookups succeed");
         },
     );

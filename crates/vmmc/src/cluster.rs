@@ -10,7 +10,7 @@
 use crate::buffer::{Export, ExportId, Import, ImportId, PUBLIC_KEY};
 use crate::node::{Node, PendingFetch};
 use crate::{Result, VmmcError};
-use utlb_core::UtlbConfig;
+use utlb_core::{TranslationMechanism, UtlbConfig};
 use utlb_mem::{ProcessId, VirtAddr, PAGE_SIZE};
 use utlb_nic::packet::{DeliveryInfo, Packet, PacketKind};
 use utlb_nic::reliable::{RemapTable, DEFAULT_RTO};

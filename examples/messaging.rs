@@ -16,6 +16,7 @@
 //! cargo run --example messaging
 //! ```
 
+use utlb_core::TranslationMechanism;
 use utlb_mem::VirtAddr;
 use utlb_msg::{ChannelConfig, Fabric, RecvBuf};
 use utlb_vmmc::Cluster;

@@ -8,6 +8,7 @@
 //! cargo run --example quickstart
 //! ```
 
+use utlb_core::TranslationMechanism;
 use utlb_mem::VirtAddr;
 use utlb_vmmc::Cluster;
 

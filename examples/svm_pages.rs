@@ -14,6 +14,7 @@
 //! cargo run --release --example svm_pages [nodes] [pages_per_node] [rounds]
 //! ```
 
+use utlb_core::TranslationMechanism;
 use utlb_mem::{ProcessId, VirtAddr, PAGE_SIZE};
 use utlb_vmmc::{Cluster, ExportId, ImportId};
 

@@ -32,11 +32,21 @@ cargo test -q --offline -p utlb-core perproc::
 cargo test -q --offline -p utlb-core indexed::
 cargo test -q --offline -p utlb-sim ablations::
 
-echo "== memory-limited archives byte-identical"
-cargo run -q --release --offline -p utlb-bench --bin table5 -- --json results/table5.json \
-    > results/table5.txt
+echo "== engine-driven paper archives byte-identical"
+for t in table3 table4 table5 table6 table7 table8; do
+    cargo run -q --release --offline -p utlb-bench --bin "$t" -- --json "results/$t.json" \
+        > "results/$t.txt"
+done
+for f in fig7 fig8; do
+    cargo run -q --release --offline -p utlb-bench --bin "$f" -- --json "results/$f.json" \
+        --csv "results/$f.csv" > "results/$f.txt"
+done
 cargo run -q --release --offline -p utlb-bench --bin ablations > results/ablations.txt
-git diff --exit-code -- results/table5.json results/table5.txt results/ablations.txt
+git diff --exit-code -- results/table{3,4,5,6,7,8}.{json,txt} results/fig{7,8}.{json,txt,csv} \
+    results/ablations.txt
+
+echo "== repository benchmark builds against the TranslationMechanism trait"
+cargo build -q --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "== host-op benches smoke (replacement-set evict/insert and touch)"
 cargo bench -q --offline -p utlb-bench --bench host_ops -- --test

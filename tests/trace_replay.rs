@@ -4,6 +4,7 @@
 //! with tracing on, replay the captured trace through the trace-driven
 //! simulator, and check the two views agree where they must.
 
+use utlb_core::TranslationMechanism;
 use utlb_mem::{VirtAddr, PAGE_SIZE};
 use utlb_sim::RunOutputExt;
 use utlb_sim::{Mechanism, Run, SimConfig};
