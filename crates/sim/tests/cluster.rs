@@ -10,7 +10,7 @@ use utlb_sim::experiments::{cluster_scaling, cluster_workload};
 use utlb_sim::sweep::THREADS_ENV;
 use utlb_sim::RunOutputExt;
 use utlb_sim::{ClusterConfig, ClusterResult, DesConfig, Mechanism, Run, SimConfig};
-use utlb_trace::{GenConfig, Op, Trace, TraceRecord};
+use utlb_trace::{gen, GenConfig, Op, SplashApp, Trace, TraceRecord};
 
 fn gen_config() -> GenConfig {
     GenConfig {
@@ -71,6 +71,98 @@ fn one_board_zero_contention_is_bit_exact_with_the_serial_des_run() {
         );
         assert_eq!(cluster.host_mem_wait_ns + cluster.bus_wait_ns, 0, "{mech}");
     }
+}
+
+fn json<T: serde::Serialize>(value: &T) -> String {
+    serde_json::to_string(value).unwrap()
+}
+
+/// The same identity under contention: payload traffic queues on the bus,
+/// interrupt service and DMA engine, and a 1-board cluster must still be
+/// `.des()` byte for byte. On one board the firmware holds every walk, so
+/// the shared host-memory station never queues.
+#[test]
+fn one_board_contended_cluster_is_bit_exact_with_the_des_run() {
+    let gc = GenConfig {
+        seed: 7,
+        scale: 0.1,
+        app_processes: 4,
+    };
+    let traces: Vec<Trace> = [SplashApp::Radix, SplashApp::Water, SplashApp::Fft]
+        .iter()
+        .map(|&app| gen::generate(app, &gc))
+        .collect();
+    let mut queued = 0u64;
+    for trace in &traces {
+        for cfg in [SimConfig::study(256).limit_mb(4), SimConfig::study(8192)] {
+            for load in [1.0, 4.0] {
+                let des = DesConfig::contended(load);
+                for mech in Mechanism::ALL {
+                    let what = format!("{mech}/{}/load {load}", trace.workload);
+                    let serial = Run::new(mech)
+                        .config(&cfg)
+                        .des(des)
+                        .execute(trace)
+                        .into_des()
+                        .unwrap();
+                    let cluster = Run::new(mech)
+                        .config(&cfg)
+                        .des(des)
+                        .cluster(ClusterConfig::new(1))
+                        .execute(trace)
+                        .into_cluster()
+                        .unwrap();
+                    let board = &cluster.boards[0];
+                    assert_eq!(json(&board.sim), json(&serial.base), "{what}: serial half");
+                    assert_eq!(
+                        cluster.des_time_ns, serial.des_time_ns,
+                        "{what}: completion"
+                    );
+                    assert_eq!(
+                        json(&cluster.latency_ns),
+                        json(&serial.latency_ns),
+                        "{what}: latency distribution"
+                    );
+                    let waits = [
+                        board.fw_wait_ns,
+                        board.dma_wait_ns,
+                        board.bus_wait_ns,
+                        board.intr_wait_ns,
+                    ];
+                    let want = [
+                        serial.fw_wait_ns,
+                        serial.dma_wait_ns,
+                        serial.bus_wait_ns,
+                        serial.intr_wait_ns,
+                    ];
+                    assert_eq!(waits, want, "{what}: fw/dma/bus/intr waits");
+                    assert_eq!(board.host_mem_wait_ns, 0, "{what}: host memory");
+                    // DES resources: firmware, DMA engine, bus, interrupt
+                    // service; the cluster splits them into the board's
+                    // private pair and the shared host-memory/bus/intr trio.
+                    let resources = [
+                        &board.resources[0],
+                        &board.resources[1],
+                        &cluster.shared[1],
+                        &cluster.shared[2],
+                    ];
+                    for (got, want) in resources.iter().zip(&serial.resources) {
+                        assert_eq!(json(got), json(want), "{what}: {}", want.name);
+                    }
+                    assert_eq!(
+                        (cluster.payload_transfers, cluster.payload_words),
+                        (serial.payload_transfers, serial.payload_words),
+                        "{what}: payload traffic"
+                    );
+                    queued += serial.bus_wait_ns.min(serial.intr_wait_ns);
+                }
+            }
+        }
+    }
+    assert!(
+        queued > 0,
+        "contention must actually queue on the bus and intr"
+    );
 }
 
 /// Every board of a multi-board run carries its own metrics and reconciles
