@@ -1,11 +1,13 @@
-//! Multi-NIC cluster replay: N boards sharding one multiprogrammed stream
+//! Multi-NIC cluster topology: N boards sharding one multiprogrammed stream
 //! over shared host-memory and I/O-bus stations.
 //!
 //! The paper's evaluation stops at one NIC shared by one node's processes
 //! (§6); the ROADMAP's cluster item asks what happens when many boards
-//! contend for the resources a single node *assumed* were private. This
-//! runner splits a merged stream (see [`utlb_trace::merge_multiprogram`])
-//! across `nodes` simulated boards by a per-process [`ShardMap`]:
+//! contend for the resources a single node *assumed* were private. A
+//! `.cluster(cfg)` run splits a merged stream (see
+//! [`utlb_trace::merge_multiprogram`]) across `nodes` simulated boards by a
+//! per-process [`ShardMap`], through the same replay loop every trace run
+//! uses (one board is its degenerate case), with the station overlay on:
 //!
 //! * **per board** — its own engine instance (same mechanism and SRAM/cache
 //!   geometry on every board), its own NIC firmware station, and its own
@@ -19,11 +21,10 @@
 //! (non-decreasing timestamps), and shared stations admit work in exactly
 //! that order — so the admission sequence is a pure function of the input
 //! stream, never of host-side scheduling, and a cluster run is
-//! byte-deterministic under any sweep worker count. On one board under
-//! [`DesConfig::zero_contention`] every shared-station acquisition starts
-//! at its cursor (the previous grant always ends no later), which is why
-//! the 1-board cluster is *bit-exact* with the serial `.des()` overlay
-//! (pinned by `tests/cluster.rs`).
+//! byte-deterministic under any sweep worker count. On one board the
+//! firmware holds every walk, so no shared-station acquisition ever queues
+//! behind another board, which is why the 1-board cluster is *bit-exact*
+//! with the plain `.des()` run at any load (pinned by `tests/cluster.rs`).
 //!
 //! **Migration.** A [`Migration`] rehomes one process mid-trace: its stats
 //! are snapshotted, the source board's engine drops the process through the
@@ -35,26 +36,13 @@
 //! *front end* re-homes at admission instead of on a schedule — see
 //! [`HomingPolicy`] and [`crate::frontend::cluster`].)
 
-use crate::des_runner::{emit_wait, DemandTap, DesConfig};
-use crate::runner::STREAM_CHUNK;
-use crate::stations::{station_walk, SharedStations, StationWaits};
-use crate::{Mechanism, MissClassifier, SimConfig, SimResult};
+use crate::SimResult;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::rc::Rc;
-use utlb_core::obs::{Event, Histogram, Metrics, Probe, SharedCollector, WaitResource};
-use utlb_core::{
-    page_demands_into, LookupBatch, OutcomeBuf, PageDemand, TranslationMechanism, TranslationStats,
-};
-use utlb_des::{DmaEngineModel, Resource, ResourceReport};
-use utlb_mem::{Host, ProcessId};
-use utlb_nic::{Board, Nanos};
-use utlb_trace::{fill_chunk, ShardMap, TraceStream};
-
-/// Per-process event-ring capacity of the per-board collectors.
-const CLUSTER_OBS_RING: usize = 32;
+use utlb_core::obs::{Histogram, Metrics};
+use utlb_core::TranslationStats;
+use utlb_des::ResourceReport;
+use utlb_trace::ShardMap;
 
 /// One scheduled cross-board process migration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -114,7 +102,8 @@ pub struct ClusterConfig {
     /// Number of simulated boards.
     pub nodes: usize,
     /// Initial process placement; `None` means round-robin over the
-    /// stream's pids ([`ShardMap::round_robin`]). Trace runs only.
+    /// stream's pids ([`ShardMap::round_robin`]). Trace runs only: a live
+    /// front end homes connections by `homing` and rejects a shard map.
     pub shard: Option<ShardMap>,
     /// Scheduled migrations, applied in `(at_ns, insertion order)` order.
     /// Trace runs only; a live front end re-homes at admission instead.
@@ -125,11 +114,9 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// A round-robin cluster of `nodes` boards with no migrations.
-    ///
-    /// # Panics
-    ///
-    /// The run panics at execute time if `nodes` is zero.
+    /// A round-robin cluster of `nodes` boards with no migrations. A run
+    /// on zero boards fails at execute time with
+    /// [`RunError::IncompatibleConfig`](crate::RunError::IncompatibleConfig).
     pub fn new(nodes: usize) -> Self {
         ClusterConfig {
             nodes,
@@ -288,384 +275,11 @@ impl ClusterResult {
     }
 }
 
-/// Private per-board replay state.
-struct BoardState {
-    engine: Box<dyn TranslationMechanism>,
-    board: Board,
-    classifier: MissClassifier,
-    firmware: Resource,
-    dma: DmaEngineModel,
-    tap_buf: Rc<RefCell<Vec<Event>>>,
-    collector: SharedCollector,
-    wait_probe: Option<Box<dyn Probe>>,
-    t0: Nanos,
-    des_end: Nanos,
-    latency: Histogram,
-    waits: StationWaits,
-    payload_transfers: u64,
-    payload_words: u64,
-    /// Stats of completed residencies, keyed by raw pid — the engine drops
-    /// a process's counters at `unregister_process`, so they are
-    /// snapshotted here before every migration away from this board.
-    carried: BTreeMap<u32, TranslationStats>,
-    /// Every pid that was ever resident on this board.
-    ever_resident: BTreeSet<u32>,
-}
-
-/// The cluster replay loop. See the [module docs](self) for the topology
-/// and the draw-order contract.
-///
-/// # Panics
-///
-/// Panics on zero `nodes`, on a shard map that does not cover the stream's
-/// pids or disagrees with `nodes`, on a migration naming an unknown pid or
-/// out-of-range board, and on internal engine errors.
-pub(crate) fn replay_cluster<S>(
-    mech: Mechanism,
-    stream: &mut S,
-    cfg: &SimConfig,
-    des: &DesConfig,
-    cluster: &ClusterConfig,
-) -> ClusterResult
-where
-    S: TraceStream + ?Sized,
-{
-    let nodes = cluster.nodes;
-    assert!(nodes > 0, "a cluster needs at least one board");
-
-    let mut host = Host::new(cfg.host_frames);
-    let pids = stream.process_ids();
-    let shard = match &cluster.shard {
-        Some(map) => {
-            assert_eq!(map.nodes(), nodes, "shard map nodes != cluster nodes");
-            for pid in &pids {
-                assert!(
-                    map.board_of(*pid).is_some(),
-                    "shard map misses pid {}",
-                    pid.raw()
-                );
-            }
-            map.clone()
-        }
-        None => ShardMap::round_robin(&pids, nodes),
-    };
-
-    // Boards with their private stations and collectors.
-    let mut boards: Vec<BoardState> = (0..nodes)
-        .map(|_| {
-            let collector = SharedCollector::new(CLUSTER_OBS_RING);
-            BoardState {
-                engine: mech.engine(cfg),
-                board: Board::new(),
-                classifier: MissClassifier::new(cfg.cache_entries),
-                firmware: Resource::fifo("nic_firmware", 1),
-                dma: DmaEngineModel::new(&des.bus),
-                tap_buf: Rc::new(RefCell::new(Vec::new())),
-                wait_probe: Some(collector.boxed()),
-                collector,
-                t0: Nanos::ZERO,
-                des_end: Nanos::ZERO,
-                latency: Histogram::new(),
-                waits: StationWaits::default(),
-                payload_transfers: 0,
-                payload_words: 0,
-                carried: BTreeMap::new(),
-                ever_resident: BTreeSet::new(),
-            }
-        })
-        .collect();
-
-    // The shared stations: one host memory system, one I/O bus, one host
-    // interrupt service for the whole cluster.
-    let mut shared = SharedStations::new(des);
-
-    // Spawn all processes on the shared host in global pid order (dense
-    // from 1, as every runner asserts), registering each on its home board.
-    let mut route: Vec<usize> = Vec::with_capacity(pids.len());
-    for expected in &pids {
-        let got = host.spawn_process();
-        assert_eq!(got, *expected, "trace pids must be dense from 1");
-        let home = shard.board_of(got).expect("shard covers every pid");
-        let bs = &mut boards[home];
-        bs.engine
-            .register_process(&mut host, &mut bs.board, got)
-            .expect("registration succeeds on a fresh host");
-        bs.ever_resident.insert(got.raw());
-        route.push(home);
-    }
-
-    // Registration work precedes all traffic on each board: its firmware
-    // starts busy until that board's registration end, and its DES origin
-    // is that same instant (exactly the serial runner's `t0`).
-    for bs in &mut boards {
-        bs.t0 = bs.board.clock.now();
-        if bs.t0 > Nanos::ZERO {
-            bs.firmware.acquire(Nanos::ZERO, bs.t0);
-        }
-        bs.des_end = bs.t0;
-        bs.engine.set_probe(Box::new(DemandTap {
-            buf: Rc::clone(&bs.tap_buf),
-            inner: Some(bs.collector.boxed()),
-        }));
-    }
-
-    // Migrations in (at_ns, insertion order) order; validate eagerly.
-    let mut migrations = cluster.migrations.clone();
-    migrations.sort_by_key(|m| m.at_ns);
-    for m in &migrations {
-        assert!(m.to_board < nodes, "migration to out-of-range board");
-        assert!(
-            (m.pid as usize) >= 1 && (m.pid as usize) <= route.len(),
-            "migration names unknown pid {}",
-            m.pid
-        );
-    }
-    let mut next_migration = 0usize;
-    let mut applied: Vec<MigrationReport> = Vec::new();
-    let workload = stream.workload().to_string();
-
-    let kernel_pins = boards[0].engine.kernel_pins();
-    let mut chunk = Vec::with_capacity(STREAM_CHUNK);
-    let mut out = OutcomeBuf::new();
-    let mut events_scratch: Vec<Event> = Vec::new();
-    let mut demands: Vec<PageDemand> = Vec::new();
-
-    while fill_chunk(stream, &mut chunk, STREAM_CHUNK) > 0 {
-        for rec in &chunk {
-            // Apply migrations that fall due at or before this record.
-            while next_migration < migrations.len() && migrations[next_migration].at_ns <= rec.ts_ns
-            {
-                let m = migrations[next_migration];
-                next_migration += 1;
-                if let Some(report) = apply_migration(&mut host, &mut boards, &mut route, m) {
-                    applied.push(report);
-                }
-            }
-
-            let pid = rec.pid;
-            let slot = (pid.raw() - 1) as usize;
-            let bs = &mut boards[route[slot]];
-
-            // --- Serial half, verbatim from the single-board runners. ---
-            bs.board.clock.advance_to(Nanos::from_nanos(rec.ts_ns));
-            out.clear();
-            bs.engine
-                .lookup_run_into(
-                    &mut host,
-                    &mut bs.board,
-                    LookupBatch::for_buffer(pid, rec.va, rec.nbytes),
-                    &mut out,
-                )
-                .expect("trace lookups succeed");
-            bs.classifier.access_batch(pid, out.as_slice());
-
-            // --- DES overlay: private firmware/DMA, shared everything
-            // else. Field-level borrows so the firmware closure can walk
-            // the board's other stations ([`station_walk`]).
-            events_scratch.clear();
-            std::mem::swap(&mut *bs.tap_buf.borrow_mut(), &mut events_scratch);
-            page_demands_into(&events_scratch, &mut demands);
-            let arrival = Nanos::from_nanos(rec.ts_ns);
-            let BoardState {
-                firmware,
-                dma,
-                wait_probe,
-                waits,
-                ..
-            } = bs;
-            let grant = firmware.acquire_with(arrival, |start| {
-                station_walk(
-                    start,
-                    &demands,
-                    kernel_pins,
-                    pid,
-                    dma,
-                    &mut shared,
-                    waits,
-                    wait_probe,
-                )
-            });
-            bs.waits.fw += grant.wait;
-            emit_wait(&mut bs.wait_probe, pid, WaitResource::Firmware, grant.wait);
-            let lat = grant.end - arrival;
-            bs.latency.record(lat.as_nanos());
-            bs.des_end = bs.des_end.max(grant.end);
-
-            // Background payload traffic, as in the serial DES runner but
-            // over the shared bus and interrupt service.
-            if des.payload_load > 0.0 {
-                let words = des.payload_words(rec.nbytes);
-                if words > 0 {
-                    bs.payload_transfers += 1;
-                    bs.payload_words += words;
-                    let g1 = bs.dma.program(grant.end);
-                    let service = shared.io_bus.data_service(words);
-                    let g2 = shared.io_bus.transfer(g1.end, service);
-                    if des.notify_interrupts {
-                        let g = shared.intr_svc.handle(g2.end, Nanos::ZERO);
-                        bs.waits.intr += g.wait;
-                        emit_wait(&mut bs.wait_probe, pid, WaitResource::IntrService, g.wait);
-                    }
-                }
-            }
-        }
-    }
-
-    // Migrations scheduled past the last record still execute: the process
-    // ends the run homed where the plan says, with its state invalidated at
-    // the source.
-    while next_migration < migrations.len() {
-        let m = migrations[next_migration];
-        next_migration += 1;
-        if let Some(report) = apply_migration(&mut host, &mut boards, &mut route, m) {
-            applied.push(report);
-        }
-    }
-
-    // Finalize per board.
-    let mut cells: Vec<BoardCell> = Vec::with_capacity(nodes);
-    let mut cluster_latency = Histogram::new();
-    let (mut bus_wait_total, mut intr_wait_total, mut host_mem_wait_total) =
-        (Nanos::ZERO, Nanos::ZERO, Nanos::ZERO);
-    let (mut payload_transfers, mut payload_words) = (0u64, 0u64);
-    for (ix, mut bs) in boards.into_iter().enumerate() {
-        bs.engine.take_probe();
-        bs.wait_probe = None;
-
-        let resident_now: Vec<u32> = route
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| **b == ix)
-            .map(|(slot, _)| slot as u32 + 1)
-            .collect();
-        // Per-pid totals over every residency on this board: the carried
-        // snapshots of departed stays plus live engine counters.
-        let per_process: Vec<(u32, TranslationStats)> = bs
-            .ever_resident
-            .iter()
-            .map(|pid| {
-                let mut stats = bs.carried.get(pid).copied().unwrap_or_default();
-                if resident_now.contains(pid) {
-                    stats += bs
-                        .engine
-                        .stats(ProcessId::new(*pid))
-                        .expect("resident pid is registered");
-                }
-                (*pid, stats)
-            })
-            .collect();
-        let stats = per_process
-            .iter()
-            .map(|(_, s)| *s)
-            .fold(TranslationStats::default(), |a, b| a + b);
-
-        let metrics = bs.collector.snapshot().metrics;
-        let reconciled = metrics.reconcile(&stats).is_empty();
-        cluster_latency.merge(&bs.latency);
-        bus_wait_total += bs.waits.bus;
-        intr_wait_total += bs.waits.intr;
-        host_mem_wait_total += bs.waits.host_mem;
-        payload_transfers += bs.payload_transfers;
-        payload_words += bs.payload_words;
-
-        cells.push(BoardCell {
-            board: ix,
-            pids: resident_now,
-            sim: SimResult {
-                workload: workload.clone(),
-                stats,
-                cache: bs.engine.cache_stats(),
-                breakdown: bs.classifier.breakdown(),
-                per_process,
-                sim_time_ns: (bs.board.clock.now() - bs.t0).as_nanos(),
-            },
-            des_time_ns: (bs.des_end - bs.t0).as_nanos(),
-            latency_ns: bs.latency,
-            fw_wait_ns: bs.waits.fw.as_nanos(),
-            dma_wait_ns: bs.waits.dma.as_nanos(),
-            bus_wait_ns: bs.waits.bus.as_nanos(),
-            intr_wait_ns: bs.waits.intr.as_nanos(),
-            host_mem_wait_ns: bs.waits.host_mem.as_nanos(),
-            metrics,
-            reconciled,
-            resources: vec![bs.firmware.report(), bs.dma.report()],
-        });
-    }
-
-    ClusterResult {
-        workload,
-        nodes,
-        des_time_ns: cells.iter().map(|c| c.des_time_ns).max().unwrap_or(0),
-        latency_ns: cluster_latency,
-        boards: cells,
-        shared: shared.reports(),
-        host_mem_wait_ns: host_mem_wait_total.as_nanos(),
-        bus_wait_ns: bus_wait_total.as_nanos(),
-        intr_wait_ns: intr_wait_total.as_nanos(),
-        migrations: applied,
-        payload_transfers,
-        payload_words,
-    }
-}
-
-/// Rehomes one process: snapshot its counters (the engine drops them at
-/// unregister), invalidate + unpin everything it held on the source board,
-/// register it fresh on the destination. Probes are parked during the move
-/// so registration bookkeeping never pollutes the demand tap or the
-/// per-board metrics. Returns `None` for a no-op move (already home).
-fn apply_migration(
-    host: &mut Host,
-    boards: &mut [BoardState],
-    route: &mut [usize],
-    m: Migration,
-) -> Option<MigrationReport> {
-    let slot = (m.pid - 1) as usize;
-    let from = route[slot];
-    if from == m.to_board {
-        return None;
-    }
-    let pid = ProcessId::new(m.pid);
-    let pages_invalidated = host.driver().pins().pinned_pages(pid);
-
-    let src = &mut boards[from];
-    let src_probe = src.engine.take_probe();
-    let snapshot = src.engine.stats(pid).expect("migrating pid is registered");
-    *src.carried.entry(m.pid).or_default() += snapshot;
-    src.engine
-        .unregister_process(host, &mut src.board, pid)
-        .expect("unregister succeeds for a registered pid");
-    if let Some(p) = src_probe {
-        src.engine.set_probe(p);
-    }
-    src.tap_buf.borrow_mut().clear();
-
-    let dst = &mut boards[m.to_board];
-    let dst_probe = dst.engine.take_probe();
-    dst.engine
-        .register_process(host, &mut dst.board, pid)
-        .expect("re-registration succeeds");
-    if let Some(p) = dst_probe {
-        dst.engine.set_probe(p);
-    }
-    dst.tap_buf.borrow_mut().clear();
-    dst.ever_resident.insert(m.pid);
-
-    route[slot] = m.to_board;
-    Some(MigrationReport {
-        pid: m.pid,
-        at_ns: m.at_ns,
-        from,
-        to: m.to_board,
-        pages_invalidated,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Run;
-    use crate::RunOutputExt;
-    use utlb_mem::{VirtAddr, PAGE_SIZE};
+    use crate::{Mechanism, Run, RunError, RunOutputExt, SimConfig};
+    use utlb_mem::{ProcessId, VirtAddr, PAGE_SIZE};
     use utlb_trace::{Op, Trace, TraceRecord};
 
     fn rec(ts: u64, pid: u32, page: u64) -> TraceRecord {
@@ -798,14 +412,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out-of-range")]
     fn migration_to_unknown_board_panics() {
         let trace = two_pid_trace();
-        Run::new(Mechanism::Utlb)
+        let err = Run::new(Mechanism::Utlb)
             .config(&SimConfig::study(64))
             .cluster(ClusterConfig::new(2).migrate(1, 0, 5))
             .execute(&trace)
-            .into_cluster()
-            .unwrap();
+            .unwrap_err();
+        assert!(matches!(err, RunError::IncompatibleConfig(_)), "{err}");
+        assert!(err.to_string().contains("out-of-range"), "{err}");
     }
 }

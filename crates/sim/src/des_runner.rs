@@ -1,15 +1,14 @@
-//! Discrete-event replay: the serial runner's timing, made contention-aware.
+//! Discrete-event timing: the serial replay's timing, made contention-aware.
 //!
 //! A `.des(timing)` run drives the same engines over the same traces as a
-//! plain [`Run::execute`](crate::Run::execute), but instead of charging
-//! every cost to one serial
-//! clock it routes each lookup's resource demands — NIC firmware time, host
-//! kernel pin work, interrupt dispatch, translation-entry DMA — through the
-//! contended stations of `utlb-des`. The engine replay itself is kept
-//! *bit-identical* to the serial runner (same record order, same clock
-//! advances, same statistics); the DES layer is a timing overlay computed
-//! from the engines' own event streams via
-//! [`page_demands`](utlb_core::page_demands).
+//! plain [`Run::execute`](crate::Run::execute), through the same replay
+//! loop, but instead of charging every cost to one serial clock it routes
+//! each lookup's resource demands — NIC firmware time, host kernel pin
+//! work, interrupt dispatch, translation-entry DMA — through the contended
+//! stations of `utlb-des` ([`stations`](crate::stations)). The engine
+//! replay itself is untouched (same record order, same clock advances,
+//! same statistics); the station overlay is computed from the engines' own
+//! event streams via [`page_demands`](utlb_core::page_demands).
 //!
 //! With [`DesConfig::zero_contention`] every station sees at most one
 //! request in flight and the overlay's completion time reproduces the
@@ -20,19 +19,12 @@
 //! interrupt service, which is where queueing delay — the paper's §7 open
 //! question — appears.
 
-use crate::runner::{SweepScratch, STREAM_CHUNK};
-use crate::{MissClassifier, SimConfig, SimResult};
+use crate::SimResult;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
-use std::rc::Rc;
-use utlb_core::obs::{Event, Histogram, Probe, SharedCollector, WaitResource};
-use utlb_core::{page_demands_into, LookupBatch, TranslationMechanism};
-use utlb_mem::{Host, ProcessId};
-use utlb_nic::{Board, BoardSnapshot, Nanos};
-use utlb_trace::{fill_chunk, TraceStream};
+use utlb_core::obs::Histogram;
 
 pub use utlb_des::DesConfig;
-use utlb_des::{DmaEngineModel, IntrServiceModel, IoBusModel, Resource, ResourceReport};
+use utlb_des::ResourceReport;
 
 /// Outcome of one discrete-event run: the serial result (identical to what
 /// a plain trace replay returns for the same inputs) plus the queueing view.
@@ -105,254 +97,10 @@ impl DesResult {
     }
 }
 
-/// Captures the engine's event stream per `lookup_run` for demand
-/// decomposition, forwarding to an optional downstream probe (the obs
-/// collector in observed runs).
-#[derive(Debug)]
-pub(crate) struct DemandTap {
-    pub(crate) buf: Rc<RefCell<Vec<Event>>>,
-    pub(crate) inner: Option<Box<dyn Probe>>,
-}
-
-impl Probe for DemandTap {
-    fn on_event(&mut self, pid: ProcessId, event: Event) {
-        self.buf.borrow_mut().push(event);
-        if let Some(p) = &mut self.inner {
-            p.on_event(pid, event);
-        }
-    }
-}
-
-/// Emits a [`Event::Wait`] to the optional observation probe.
-pub(crate) fn emit_wait(
-    probe: &mut Option<Box<dyn Probe>>,
-    pid: ProcessId,
-    resource: WaitResource,
-    wait: Nanos,
-) {
-    if let Some(p) = probe {
-        p.on_event(
-            pid,
-            Event::Wait {
-                resource,
-                ns: wait.as_nanos(),
-            },
-        );
-    }
-}
-
-/// The discrete-event replay loop, consuming a [`TraceStream`] in the same
-/// [`STREAM_CHUNK`]-sized refills as the serial runner. Returns the DES
-/// result plus the board snapshot (for obs exports).
-///
-/// Station admission follows stream order, which *is* arrival order: a
-/// stream yields records by non-decreasing timestamp, so no event queue is
-/// needed to re-interleave per-process arrivals — and a fused
-/// generate+replay run never materializes the trace at all.
-pub(crate) fn replay_des<M, S>(
-    engine: &mut M,
-    stream: &mut S,
-    cfg: &SimConfig,
-    des: &DesConfig,
-    obs: Option<&SharedCollector>,
-    scratch: &mut SweepScratch,
-) -> (DesResult, BoardSnapshot)
-where
-    M: TranslationMechanism + ?Sized,
-    S: TraceStream + ?Sized,
-{
-    let mut host = Host::new(cfg.host_frames);
-    let mut board = Board::new();
-    let mut classifier = MissClassifier::new(cfg.cache_entries);
-
-    // Identical to the serial runner: trace pids are dense from 1.
-    let pids = stream.process_ids();
-    for expected in &pids {
-        let got = host.spawn_process();
-        assert_eq!(got, *expected, "trace pids must be dense from 1");
-        engine
-            .register_process(&mut host, &mut board, got)
-            .expect("registration succeeds on a fresh host");
-    }
-    let workload = stream.workload().to_string();
-    let t0 = board.clock.now();
-
-    // Tap the engine's event stream; in observed mode also forward it.
-    let buf: Rc<RefCell<Vec<Event>>> = Rc::new(RefCell::new(Vec::new()));
-    engine.set_probe(Box::new(DemandTap {
-        buf: Rc::clone(&buf),
-        inner: obs.map(SharedCollector::boxed),
-    }));
-    let mut wait_probe: Option<Box<dyn Probe>> = obs.map(SharedCollector::boxed);
-
-    // The stations. The NIC firmware is the root server: a lookup holds it
-    // for its full duration (the LANai processor walks pages serially),
-    // queueing at the nested stations while it does — exactly the serial
-    // recurrence `c_i = max(c_{i-1}, ts_i) + cost_i` when nothing else
-    // competes. Registration work precedes all traffic, so the firmware
-    // starts busy until `t0`.
-    let mut firmware = Resource::fifo("nic_firmware", 1);
-    if t0 > Nanos::ZERO {
-        firmware.acquire(Nanos::ZERO, t0);
-    }
-    let mut io_bus = IoBusModel::new(des.bus);
-    let mut dma = DmaEngineModel::new(&des.bus);
-    let mut intr_svc = IntrServiceModel::new(des.intr_dispatch);
-
-    let kernel_pins = engine.kernel_pins();
-    let mut latency_ns = Histogram::new();
-    let mut per_process_latency: Vec<(u32, Histogram)> =
-        pids.iter().map(|p| (p.raw(), Histogram::new())).collect();
-    let (mut fw_wait, mut dma_wait, mut bus_wait, mut intr_wait) =
-        (Nanos::ZERO, Nanos::ZERO, Nanos::ZERO, Nanos::ZERO);
-    let mut des_end = t0;
-    let mut payload_transfers = 0u64;
-    let mut payload_words = 0u64;
-
-    // Reused across records — and, in a sweep, across every cell on the
-    // worker's arena: the stream chunk, page outcomes from the batched
-    // lookup path, the drained event tap, and the decomposed per-page
-    // demands. Steady state allocates nothing per record.
-    let SweepScratch {
-        chunk,
-        out,
-        events: events_scratch,
-        demands,
-    } = scratch;
-
-    while fill_chunk(stream, chunk, STREAM_CHUNK) > 0 {
-        for rec in chunk.iter() {
-            let pid = rec.pid;
-            // Pids are dense from 1 (asserted above), so the per-process slot
-            // is the pid itself.
-            let slot = (pid.raw() - 1) as usize;
-
-            // --- Serial half, verbatim from the plain runner. ---
-            board.clock.advance_to(Nanos::from_nanos(rec.ts_ns));
-            out.clear();
-            engine
-                .lookup_run_into(
-                    &mut host,
-                    &mut board,
-                    LookupBatch::for_buffer(pid, rec.va, rec.nbytes),
-                    out,
-                )
-                .expect("trace lookups succeed");
-            classifier.access_batch(pid, out.as_slice());
-
-            // --- DES overlay: route this lookup's demands through the
-            // stations, holding the firmware for the whole request. ---
-            events_scratch.clear();
-            std::mem::swap(&mut *buf.borrow_mut(), events_scratch);
-            page_demands_into(events_scratch, demands);
-            let arrival = Nanos::from_nanos(rec.ts_ns);
-            let grant = firmware.acquire_with(arrival, |start| {
-                let mut cursor = start;
-                for d in demands.iter() {
-                    // Firmware-only time; UTLB's pins run in the kernel
-                    // top half, serial with the translation.
-                    cursor += Nanos::from_nanos(d.firmware_ns());
-                    let mut intr_occupancy = d.intr_ns;
-                    if kernel_pins {
-                        intr_occupancy += d.pin_ns;
-                    } else {
-                        cursor += Nanos::from_nanos(d.pin_ns);
-                    }
-                    if intr_occupancy > 0 {
-                        let g = intr_svc.handle_for(cursor, Nanos::from_nanos(intr_occupancy));
-                        intr_wait += g.wait;
-                        emit_wait(&mut wait_probe, pid, WaitResource::IntrService, g.wait);
-                        cursor = g.end;
-                    }
-                    if d.dma_ns > 0 {
-                        // Split the serial DMA charge into engine
-                        // programming and the bus data phase; the two
-                        // service times sum to the serial charge.
-                        let total = Nanos::from_nanos(d.dma_ns);
-                        let setup = dma.setup().min(total);
-                        let g1 = dma.program_for(cursor, setup);
-                        dma_wait += g1.wait;
-                        emit_wait(&mut wait_probe, pid, WaitResource::DmaEngine, g1.wait);
-                        let g2 = io_bus.transfer(g1.end, total - setup);
-                        bus_wait += g2.wait;
-                        emit_wait(&mut wait_probe, pid, WaitResource::Bus, g2.wait);
-                        cursor = g2.end;
-                    }
-                }
-                cursor
-            });
-            fw_wait += grant.wait;
-            emit_wait(&mut wait_probe, pid, WaitResource::Firmware, grant.wait);
-            let lat = grant.end - arrival;
-            latency_ns.record(lat.as_nanos());
-            per_process_latency[slot].1.record(lat.as_nanos());
-            des_end = des_end.max(grant.end);
-
-            // Background payload traffic: the record's own transfer bytes
-            // (scaled by the offered load) cross the same bus after
-            // translation, optionally raising a completion interrupt.
-            // Fire-and-forget: it loads the stations but the sender does not
-            // block on it. The notification is admitted to interrupt service at
-            // its (already-known) completion time right here, so station
-            // admission order follows trace order regardless of load — which
-            // keeps results reproducible and latency monotone in offered load.
-            if des.payload_load > 0.0 {
-                let words = des.payload_words(rec.nbytes);
-                if words > 0 {
-                    payload_transfers += 1;
-                    payload_words += words;
-                    let g1 = dma.program(grant.end);
-                    let g2 = io_bus.transfer(g1.end, io_bus.data_service(words));
-                    if des.notify_interrupts {
-                        let g = intr_svc.handle(g2.end, Nanos::ZERO);
-                        intr_wait += g.wait;
-                        emit_wait(&mut wait_probe, pid, WaitResource::IntrService, g.wait);
-                    }
-                }
-            }
-        }
-    }
-    engine.take_probe();
-    drop(wait_probe);
-
-    let sim_time_ns = (board.clock.now() - t0).as_nanos();
-    let per_process = pids
-        .iter()
-        .map(|p| (p.raw(), engine.stats(*p).expect("registered")))
-        .collect();
-    let base = SimResult {
-        workload,
-        stats: engine.aggregate_stats(),
-        cache: engine.cache_stats(),
-        breakdown: classifier.breakdown(),
-        per_process,
-        sim_time_ns,
-    };
-    let result = DesResult {
-        base,
-        des_time_ns: (des_end - t0).as_nanos(),
-        latency_ns,
-        per_process_latency,
-        fw_wait_ns: fw_wait.as_nanos(),
-        dma_wait_ns: dma_wait.as_nanos(),
-        bus_wait_ns: bus_wait.as_nanos(),
-        intr_wait_ns: intr_wait.as_nanos(),
-        resources: vec![
-            firmware.report(),
-            dma.report(),
-            io_bus.report(),
-            intr_svc.report(),
-        ],
-        payload_transfers,
-        payload_words,
-    };
-    (result, board.snapshot())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Mechanism, Run, RunOutputExt};
+    use crate::{Mechanism, Run, RunOutputExt, SimConfig};
     use utlb_trace::{gen, GenConfig, SplashApp, Trace};
 
     fn tiny(app: SplashApp) -> Trace {

@@ -1,9 +1,9 @@
-//! The clustered request plane: live connections homed, served, and
-//! re-homed across N boards.
+//! The live driver: connections homed, served, and re-homed across
+//! `nodes >= 1` boards.
 //!
-//! `Run::frontend(cfg).cluster(topology).execute(Live)` drives the same
-//! board-agnostic connection reactor as the single-board front end, with
-//! the cluster driver below supplying the board side:
+//! Every `Run::frontend(cfg).execute(Live)` run — on one board, or on N
+//! with `.cluster(topology)` — drives the connection reactor through the
+//! driver below, which supplies the board side:
 //!
 //! * **Homing** — a new connection's [`Frame::Hello`] is routed to a home
 //!   board by the topology's [`HomingPolicy`]: `hash-by-client` hashes the
@@ -16,42 +16,38 @@
 //!   next candidate, and the handshake re-runs there. A full ring of
 //!   refusals is the only way a connection dies, so the per-board
 //!   registration cliffs become cluster-wide capacity gradients.
-//! * **Shared-station pricing** — every board owns its engine, firmware
-//!   station, and DMA engine, but handshake pin work, demand pins,
-//!   interrupts, and translation-entry DMA cross the *shared* host-memory
-//!   / I/O-bus / interrupt-service stations
-//!   (`SharedStations`), so cross-board contention is
-//!   real and tail latency reflects it.
+//! * **Shared-station pricing** — on a `.cluster()` run every board owns
+//!   its engine, firmware station, and DMA engine, but handshake pin work,
+//!   demand pins, interrupts, and translation-entry DMA cross the *shared*
+//!   host-memory / I/O-bus / interrupt-service stations
+//!   (the `stations` module), so cross-board contention is real
+//!   and tail latency reflects it. A plain run prices nothing on stations:
+//!   its translations complete on the serial board clock.
 //!
 //! **Determinism contract.** The reactor admits events in
 //! `(timestamp, pid)` order; shared stations admit work in exactly that
 //! order; nothing reads wall-clock time. A 1-board cluster under
 //! [`DesConfig::zero_contention`] prices every station grant at its
 //! cursor, so its [`single_board_image`](ClusterFrontendResult::single_board_image)
-//! is byte-identical to [`Run::frontend`](crate::Run::frontend) on the
-//! same inputs — pinned by `tests/cluster_frontend.rs` and CI.
+//! is byte-identical to the plain [`Run::frontend`](crate::Run::frontend)
+//! run on the same inputs — pinned by `tests/cluster_frontend.rs` and CI.
 
-use super::reactor::{run_reactor, through_wire, BoardDriver, Conn, ReqGen};
+use super::reactor::{run_reactor, through_wire, Conn, ReqGen};
 use super::{FrontendConfig, FrontendResult};
-use crate::cluster::{ClusterConfig, HomingPolicy};
-use crate::des_runner::{DemandTap, DesConfig};
-use crate::stations::{station_walk, SharedStations, StationWaits};
-use crate::{Mechanism, SimConfig};
+use crate::cluster::HomingPolicy;
+use crate::des_runner::DesConfig;
+use crate::observe::{Collect, ObsReport};
+use crate::stations::{emit_wait, BoardStations, SharedStations, StationWaits};
+use crate::SimConfig;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
-use std::rc::Rc;
 use utlb_core::obs::{Event, Histogram, Metrics, Probe, SharedCollector, WaitResource};
 use utlb_core::{
-    page_demands_into, CacheStats, LookupBatch, OutcomeBuf, PageDemand, TranslationMechanism,
-    TranslationStats,
+    CacheStats, LookupBatch, OutcomeBuf, PageDemand, TranslationMechanism, TranslationStats,
 };
-use utlb_des::{AdmissionStats, CreditWindow, DmaEngineModel, Resource, ResourceReport};
+use utlb_des::{AdmissionStats, CreditWindow, ResourceReport};
 use utlb_mem::{Host, ProcessId, VirtAddr, PAGE_SIZE};
 use utlb_msg::{Frame, FRAME_BYTES};
 use utlb_nic::{Board, Nanos};
-
-/// Per-process event-ring capacity of the per-board collectors.
-const FRONTEND_OBS_RING: usize = 32;
 
 /// Multiplier of the Fibonacci-hash home-board assignment
 /// (`hash-by-client`): `home = (index * PHI64 >> 32) % nodes`. The
@@ -65,21 +61,20 @@ pub(crate) fn hash_home(index: u64, nodes: usize) -> usize {
     ((index.wrapping_mul(HOME_HASH_MULT) >> 32) as usize) % nodes
 }
 
-/// One board of the clustered front end: private engine, firmware, and
-/// DMA engine, plus the per-board accounting the result cells report.
-struct FrontBoard {
-    engine: Box<dyn TranslationMechanism>,
+/// One board of the live driver: its engine (borrowed from the caller),
+/// clock, and per-board accounting, plus its collector and private
+/// stations when the run asks for them.
+struct FrontBoard<'e, M: ?Sized> {
+    engine: &'e mut M,
     board: Board,
-    firmware: Resource,
-    dma: DmaEngineModel,
-    tap_buf: Rc<RefCell<Vec<Event>>>,
-    collector: SharedCollector,
-    wait_probe: Option<Box<dyn Probe>>,
+    collector: Option<SharedCollector>,
+    /// Where wait and lifecycle events go: the collector, if any.
+    probe: Option<Box<dyn Probe>>,
+    /// The board's DES stations, when the overlay is on.
+    stations: Option<BoardStations>,
     t0: Nanos,
     /// Latest *serial* translation completion on this board.
     last_service: Nanos,
-    /// Latest station (DES) completion on this board.
-    des_end: Nanos,
     open_conns: usize,
     accepted: u64,
     redirected_in: u64,
@@ -87,20 +82,20 @@ struct FrontBoard {
     served: u64,
     stats_acc: TranslationStats,
     latency: Histogram,
-    waits: StationWaits,
 }
 
-/// The N-board side of the reactor. See the [module docs](self).
-struct ClusterDriver<'a> {
+/// The board side of the reactor, over `nodes >= 1` boards. See the
+/// [module docs](self).
+pub(crate) struct ClusterDriver<'a, 'e, M: ?Sized> {
     fcfg: &'a FrontendConfig,
     policy: HomingPolicy,
-    nodes: usize,
     host: Host,
-    boards: Vec<FrontBoard>,
-    shared: SharedStations,
+    boards: Vec<FrontBoard<'e, M>>,
+    /// The shared stations, when the overlay is on.
+    shared: Option<SharedStations>,
     kernel_pins: bool,
     out: OutcomeBuf,
-    events_scratch: Vec<Event>,
+    events: Vec<Event>,
     demands: Vec<PageDemand>,
     /// Reused candidate-order scratch (O(nodes), no per-open allocation).
     order: Vec<usize>,
@@ -113,19 +108,19 @@ struct ClusterDriver<'a> {
     redirects: u64,
 }
 
-impl ClusterDriver<'_> {
+impl<M: TranslationMechanism + ?Sized> ClusterDriver<'_, '_, M> {
     /// Fills `self.order` with the candidate boards for connection
     /// `index`, first choice first.
     fn candidate_order(&mut self, index: u64) {
+        let nodes = self.boards.len();
         self.order.clear();
         match self.policy {
             HomingPolicy::HashByClient => {
-                let home = hash_home(index, self.nodes);
-                self.order
-                    .extend((0..self.nodes).map(|k| (home + k) % self.nodes));
+                let home = hash_home(index, nodes);
+                self.order.extend((0..nodes).map(|k| (home + k) % nodes));
             }
             HomingPolicy::LeastLoaded => {
-                self.order.extend(0..self.nodes);
+                self.order.extend(0..nodes);
                 let boards = &self.boards;
                 self.order.sort_by_key(|&i| (boards[i].open_conns, i));
             }
@@ -140,19 +135,21 @@ impl ClusterDriver<'_> {
     /// delta is the total, so pure-firmware admin time is charged too.
     /// Under zero contention the resulting grant ends exactly at the
     /// serial clock, preserving the 1-board bit-exactness induction.
+    /// Without the overlay there is nothing to price.
     fn price_admin_from(&mut self, ix: usize, pid: ProcessId, pre: Nanos) {
         let Self {
             boards,
             shared,
             kernel_pins,
-            events_scratch,
+            events,
             demands,
             ..
         } = self;
         let b = &mut boards[ix];
-        events_scratch.clear();
-        std::mem::swap(&mut *b.tap_buf.borrow_mut(), &mut *events_scratch);
-        page_demands_into(events_scratch, demands);
+        let (Some(st), Some(shared)) = (&mut b.stations, shared) else {
+            return;
+        };
+        st.drain(events, demands);
         let mut d = PageDemand::default();
         for p in demands.iter() {
             d.pin_ns += p.pin_ns;
@@ -164,33 +161,19 @@ impl ClusterDriver<'_> {
         if d.total_ns == 0 && d.is_fast_path() {
             return; // No work: don't pollute station job counts.
         }
-        let admin = [d];
-        let FrontBoard {
-            firmware,
-            dma,
-            wait_probe,
-            waits,
-            ..
-        } = b;
-        let grant = firmware.acquire_with(pre, |start| {
-            station_walk(
-                start,
-                &admin,
-                *kernel_pins,
-                pid,
-                dma,
-                shared,
-                waits,
-                wait_probe,
-            )
-        });
-        b.waits.fw += grant.wait;
-        b.des_end = b.des_end.max(grant.end);
+        st.price(pre, &[d], *kernel_pins, pid, shared, &mut b.probe);
     }
-}
 
-impl BoardDriver for ClusterDriver<'_> {
-    fn open(&mut self, index: u64, open_ns: u64, wire: &mut [u8; FRAME_BYTES]) -> Option<Conn> {
+    /// Attempts to open connection `index` at simulated time `open_ns` —
+    /// the full handshake, including any redirect hops. Returns the
+    /// reactor state for an accepted connection (with its home board
+    /// recorded), or `None` if every candidate board refused.
+    pub(crate) fn open(
+        &mut self,
+        index: u64,
+        open_ns: u64,
+        wire: &mut [u8; FRAME_BYTES],
+    ) -> Option<Conn> {
         let hello = through_wire(
             Frame::Hello {
                 client: index,
@@ -230,7 +213,7 @@ impl BoardDriver for ClusterDriver<'_> {
                     let b = &mut self.boards[ix];
                     b.accepted += 1;
                     b.open_conns += 1;
-                    if let Some(p) = &mut b.wait_probe {
+                    if let Some(p) = &mut b.probe {
                         p.on_event(pid, Event::Connect);
                     }
                     let mut gen = ReqGen::new(self.fcfg, index, open_ns);
@@ -284,27 +267,34 @@ impl BoardDriver for ClusterDriver<'_> {
         opened
     }
 
-    fn initial_wave_done(&mut self) {
+    /// Called once after the initial connection wave: simulated run time
+    /// is measured from the end of each board's wave registration work.
+    pub(crate) fn initial_wave_done(&mut self) {
         for b in &mut self.boards {
             b.t0 = b.board.clock.now();
             b.last_service = b.t0;
-            b.des_end = b.des_end.max(b.t0);
+            if let Some(st) = &mut b.stations {
+                st.des_end = st.des_end.max(b.t0);
+            }
         }
     }
 
-    fn serve(&mut self, conn: &Conn, va: VirtAddr, nbytes: u64, at: Nanos) -> Nanos {
+    /// Serves one admitted request at admission instant `at`: translate
+    /// `nbytes` from `va` on the connection's board. Returns when the
+    /// translation completed — on the stations when the overlay is on,
+    /// else on the serial board clock. The reactor adds the drain.
+    pub(crate) fn serve(&mut self, conn: &Conn, va: VirtAddr, nbytes: u64, at: Nanos) -> Nanos {
         let Self {
             host,
             boards,
             shared,
             kernel_pins,
             out,
-            events_scratch,
+            events,
             demands,
             ..
         } = self;
         let b = &mut boards[conn.board];
-        // Serial half, identical to the single-board driver.
         b.board.clock.advance_to(at);
         out.clear();
         b.engine
@@ -315,54 +305,36 @@ impl BoardDriver for ClusterDriver<'_> {
                 out,
             )
             .expect("frontend lookups succeed");
-        b.last_service = b.last_service.max(b.board.clock.now());
+        let translated = b.board.clock.now();
+        b.last_service = b.last_service.max(translated);
+        b.served += 1;
         // DES overlay: this lookup's demands walk the board's firmware
         // and the shared stations.
-        events_scratch.clear();
-        std::mem::swap(&mut *b.tap_buf.borrow_mut(), &mut *events_scratch);
-        page_demands_into(events_scratch, demands);
-        let FrontBoard {
-            firmware,
-            dma,
-            wait_probe,
-            waits,
-            ..
-        } = b;
-        let grant = firmware.acquire_with(at, |start| {
-            station_walk(
-                start,
-                demands,
-                *kernel_pins,
-                conn.pid,
-                dma,
-                shared,
-                waits,
-                wait_probe,
-            )
-        });
-        b.waits.fw += grant.wait;
-        crate::des_runner::emit_wait(
-            &mut b.wait_probe,
-            conn.pid,
-            WaitResource::Firmware,
-            grant.wait,
-        );
-        b.served += 1;
-        b.des_end = b.des_end.max(grant.end);
+        let (Some(st), Some(shared)) = (&mut b.stations, shared) else {
+            return translated;
+        };
+        st.drain(events, demands);
+        let grant = st.price(at, demands, *kernel_pins, conn.pid, shared, &mut b.probe);
+        emit_wait(&mut b.probe, conn.pid, WaitResource::Firmware, grant.wait);
         grant.end
     }
 
-    fn record_latency(&mut self, conn: &Conn, lat_ns: u64) {
+    /// Records a served request's end-to-end latency against its board.
+    pub(crate) fn record_latency(&mut self, conn: &Conn, lat_ns: u64) {
         self.boards[conn.board].latency.record(lat_ns);
     }
 
-    fn emit(&mut self, conn: &Conn, event: Event) {
-        if let Some(p) = &mut self.boards[conn.board].wait_probe {
+    /// Emits a lifecycle event to the connection's board probe.
+    pub(crate) fn emit(&mut self, conn: &Conn, event: Event) {
+        if let Some(p) = &mut self.boards[conn.board].probe {
             p.on_event(conn.pid, event);
         }
     }
 
-    fn close(&mut self, conn: &Conn, _close_ns: u64) {
+    /// Tears down a closing connection: snapshot its translation counters,
+    /// unregister it from its board, reclaim the host process, and emit
+    /// the close event.
+    pub(crate) fn close(&mut self, conn: &Conn) {
         let ix = conn.board;
         let pre = {
             let Self { host, boards, .. } = self;
@@ -383,7 +355,7 @@ impl BoardDriver for ClusterDriver<'_> {
             .expect("connection process is live");
         let b = &mut self.boards[ix];
         b.open_conns -= 1;
-        if let Some(p) = &mut b.wait_probe {
+        if let Some(p) = &mut b.probe {
             p.on_event(conn.pid, Event::Close);
         }
     }
@@ -530,8 +502,9 @@ impl ClusterFrontendResult {
     }
 
     /// Projects a 1-board run onto the single-board [`FrontendResult`]
-    /// shape — the byte-identity gate compares this against
-    /// [`Run::frontend`](crate::Run::frontend) output.
+    /// shape — what [`Run::frontend`](crate::Run::frontend) returns for a
+    /// run without `.cluster()`, and what the byte-identity gate compares a
+    /// 1-board cluster's station-priced run against.
     ///
     /// # Panics
     ///
@@ -559,39 +532,45 @@ impl ClusterFrontendResult {
     }
 }
 
-/// The clustered front end. See the [module docs](self); the public entry
-/// point is `Run::frontend(cfg).cluster(topology).execute(Live)`.
-pub(crate) fn replay_cluster_frontend(
-    mech: Mechanism,
+/// The live driver: serves `fcfg`'s peers over one board per engine,
+/// homed by `homing`. With `des` set, every board prices its work on its
+/// own firmware and DMA engine and the shared stations; with `collect`
+/// set, every board carries a collector, and an observed run's report is
+/// returned. See the [module docs](self); the public entry points are
+/// `Run::frontend(cfg).execute(Live)` and its `.cluster(topology)` form.
+pub(crate) fn serve_live<M>(
+    engines: Vec<&mut M>,
     cfg: &SimConfig,
     fcfg: &FrontendConfig,
-    des: &DesConfig,
-    cluster: &ClusterConfig,
-) -> ClusterFrontendResult {
-    fcfg.validate();
-    let nodes = cluster.nodes;
-    assert!(nodes > 0, "a cluster needs at least one board");
-
-    let boards: Vec<FrontBoard> = (0..nodes)
-        .map(|_| {
-            let collector = SharedCollector::new(FRONTEND_OBS_RING);
-            let tap_buf: Rc<RefCell<Vec<Event>>> = Rc::new(RefCell::new(Vec::new()));
-            let mut engine = mech.engine(cfg);
-            engine.set_probe(Box::new(DemandTap {
-                buf: Rc::clone(&tap_buf),
-                inner: Some(collector.boxed()),
-            }));
+    homing: HomingPolicy,
+    des: Option<&DesConfig>,
+    collect: Option<Collect>,
+) -> (ClusterFrontendResult, Option<ObsReport>)
+where
+    M: TranslationMechanism + ?Sized,
+{
+    let nodes = engines.len();
+    let boards: Vec<FrontBoard<M>> = engines
+        .into_iter()
+        .map(|engine| {
+            let collector = collect.map(Collect::collector);
+            let stations = des.map(BoardStations::new);
+            let inner = collector.as_ref().map(SharedCollector::boxed);
+            let probe = match &stations {
+                Some(st) => Some(st.tap(inner)),
+                None => inner,
+            };
+            if let Some(p) = probe {
+                engine.set_probe(p);
+            }
             FrontBoard {
                 engine,
                 board: Board::new(),
-                firmware: Resource::fifo("nic_firmware", 1),
-                dma: DmaEngineModel::new(&des.bus),
-                tap_buf,
-                wait_probe: Some(collector.boxed()),
+                probe: collector.as_ref().map(SharedCollector::boxed),
                 collector,
+                stations,
                 t0: Nanos::ZERO,
                 last_service: Nanos::ZERO,
-                des_end: Nanos::ZERO,
                 open_conns: 0,
                 accepted: 0,
                 redirected_in: 0,
@@ -599,7 +578,6 @@ pub(crate) fn replay_cluster_frontend(
                 served: 0,
                 stats_acc: TranslationStats::default(),
                 latency: Histogram::new(),
-                waits: StationWaits::default(),
             }
         })
         .collect();
@@ -607,14 +585,13 @@ pub(crate) fn replay_cluster_frontend(
 
     let mut drv = ClusterDriver {
         fcfg,
-        policy: cluster.homing,
-        nodes,
+        policy: homing,
         host: Host::new(cfg.host_frames),
         boards,
-        shared: SharedStations::new(des),
+        shared: des.map(SharedStations::new),
         kernel_pins,
         out: OutcomeBuf::new(),
-        events_scratch: Vec::new(),
+        events: Vec::new(),
         demands: Vec::new(),
         order: Vec::with_capacity(nodes),
         spawned: 0,
@@ -634,21 +611,32 @@ pub(crate) fn replay_cluster_frontend(
     let mut cluster_latency = Histogram::new();
     let mut stats = TranslationStats::default();
     let mut cache = CacheStats::default();
-    let (mut host_mem_wait, mut bus_wait, mut intr_wait) = (Nanos::ZERO, Nanos::ZERO, Nanos::ZERO);
-    for (ix, mut b) in drv.boards.into_iter().enumerate() {
-        b.engine.take_probe();
-        b.wait_probe = None;
+    let mut totals = StationWaits::default();
+    let mut obs = None;
+    for (ix, b) in drv.boards.into_iter().enumerate() {
+        if b.collector.is_some() || b.stations.is_some() {
+            b.engine.take_probe();
+        }
         let board_cache = b.engine.cache_stats();
-        let metrics = b.collector.snapshot().metrics;
-        let reconciled = metrics.reconcile(&b.stats_acc).is_empty();
+        let (metrics, reconciled, report) = match (collect, &b.collector) {
+            (Some(k), Some(c)) => k.finish(
+                c,
+                b.engine.name(),
+                "frontend",
+                &b.stats_acc,
+                b.board.snapshot(),
+            ),
+            _ => (Metrics::new(), true, None),
+        };
+        let (waits, des_end, resources) = BoardStations::summary(b.stations.as_ref(), b.t0);
         stats += b.stats_acc;
         cache.hits += board_cache.hits;
         cache.misses += board_cache.misses;
         cache.probes += board_cache.probes;
         cache.evictions += board_cache.evictions;
-        host_mem_wait += b.waits.host_mem;
-        bus_wait += b.waits.bus;
-        intr_wait += b.waits.intr;
+        totals.host_mem += waits.host_mem;
+        totals.bus += waits.bus;
+        totals.intr += waits.intr;
         cluster_latency.merge(&b.latency);
         cells.push(FrontendBoardCell {
             board: ix,
@@ -659,23 +647,24 @@ pub(crate) fn replay_cluster_frontend(
             stats: b.stats_acc,
             cache: board_cache,
             sim_time_ns: (b.last_service - b.t0).as_nanos(),
-            des_time_ns: (b.des_end - b.t0).as_nanos(),
-            fw_wait_ns: b.waits.fw.as_nanos(),
-            dma_wait_ns: b.waits.dma.as_nanos(),
-            bus_wait_ns: b.waits.bus.as_nanos(),
-            intr_wait_ns: b.waits.intr.as_nanos(),
-            host_mem_wait_ns: b.waits.host_mem.as_nanos(),
+            des_time_ns: (des_end - b.t0).as_nanos(),
+            fw_wait_ns: waits.fw.as_nanos(),
+            dma_wait_ns: waits.dma.as_nanos(),
+            bus_wait_ns: waits.bus.as_nanos(),
+            intr_wait_ns: waits.intr.as_nanos(),
+            host_mem_wait_ns: waits.host_mem.as_nanos(),
             latency_ns: b.latency,
             metrics,
             reconciled,
-            resources: vec![b.firmware.report(), b.dma.report()],
+            resources,
         });
+        obs = obs.or(report);
     }
 
-    ClusterFrontendResult {
+    let result = ClusterFrontendResult {
         workload: "cluster_frontend".to_string(),
         nodes,
-        homing: cluster.homing,
+        homing,
         connections: fcfg.connections as u64,
         accepted: drv.accepted,
         refused: drv.refused,
@@ -691,10 +680,11 @@ pub(crate) fn replay_cluster_frontend(
         des_time_ns: cells.iter().map(|c| c.des_time_ns).max().unwrap_or(0),
         latency_ns: cluster_latency,
         boards: cells,
-        shared: drv.shared.reports(),
-        host_mem_wait_ns: host_mem_wait.as_nanos(),
-        bus_wait_ns: bus_wait.as_nanos(),
-        intr_wait_ns: intr_wait.as_nanos(),
+        shared: drv.shared.map_or_else(Vec::new, |s| s.reports()),
+        host_mem_wait_ns: totals.host_mem.as_nanos(),
+        bus_wait_ns: totals.bus.as_nanos(),
+        intr_wait_ns: totals.intr.as_nanos(),
         pinned_pages_end,
-    }
+    };
+    (result, obs)
 }

@@ -1,14 +1,16 @@
 //! Request-plane front end: serve translations to live simulated peers.
 //!
-//! The trace runners replay *recorded* communication; this module generates
+//! The trace runs replay *recorded* communication; this module generates
 //! it live. N simulated peers connect to a board, export a buffer, and
 //! issue remote stores and fetches that the configured
-//! [`TranslationMechanism`] translates on demand — the full connection
-//! lifecycle the paper's VMMC software ran above the UTLB, driven by a
-//! poll-free deterministic reactor stepped by simulated time:
+//! [`TranslationMechanism`](utlb_core::TranslationMechanism) translates on
+//! demand — the full connection lifecycle the paper's VMMC software ran
+//! above the UTLB, driven by a poll-free deterministic reactor stepped by
+//! simulated time:
 //!
-//! * **Handshake** — a peer's [`Frame::Hello`] spawns a host process and
-//!   registers it with the mechanism ([`Frame::Welcome`] carries its credit
+//! * **Handshake** — a peer's [`Frame::Hello`](utlb_msg::Frame::Hello)
+//!   spawns a host process and registers it with the mechanism
+//!   ([`Frame::Welcome`](utlb_msg::Frame::Welcome) carries its credit
 //!   window). A registration the mechanism cannot satisfy — the §3.1
 //!   engine's statically allocated SRAM tables are a bump allocation that
 //!   outlives the process, so they *will* run out under connection churn —
@@ -17,24 +19,28 @@
 //!   a [`utlb_msg::Frame::Redirect`] hop to the next
 //!   candidate board — see [`cluster`].)
 //! * **Admission** — each connection owns a bounded
-//!   [`CreditWindow`]: requests beyond the window
+//!   [`CreditWindow`](utlb_des::CreditWindow): requests beyond the window
 //!   stall to the instant a credit returns (charged as wait time and
-//!   emitted as [`Event::Backpressure`]), requests beyond the stall queue
-//!   are rejected with [`Frame::Busy`].
+//!   emitted as
+//!   [`Event::Backpressure`](utlb_core::obs::Event::Backpressure)),
+//!   requests beyond the stall queue are rejected with
+//!   [`Frame::Busy`](utlb_msg::Frame::Busy).
 //! * **Service** — admitted requests go through the same batched
-//!   [`LookupBatch`]/[`OutcomeBuf`] path as the replay runners, on the same
-//!   serial board clock, so firmware FIFO queueing emerges from the clock
-//!   rather than being modeled separately.
-//! * **Teardown** — [`Frame::Bye`] snapshots the connection's counters,
-//!   unregisters the process (releasing its pins), and kills it, so live
-//!   state is O(open connections) however many connections a run churns.
+//!   [`LookupBatch`](utlb_core::LookupBatch) /
+//!   [`OutcomeBuf`](utlb_core::OutcomeBuf) path as the trace replay, on
+//!   the same serial board clock, so firmware FIFO queueing emerges from
+//!   the clock rather than being modeled separately.
+//! * **Teardown** — [`Frame::Bye`](utlb_msg::Frame::Bye) snapshots the
+//!   connection's counters, unregisters the process (releasing its pins),
+//!   and kills it, so live state is O(open connections) however many
+//!   connections a run churns.
 //!
-//! The per-connection state machine itself is board-agnostic (the private
-//! `reactor` module); this module supplies the single-board driver, and
-//! [`cluster`] the N-board driver with homing policies, redirect
-//! re-homing, and shared discrete-event stations. Both drive the same
-//! loop, which is what makes the 1-board clustered front end bit-exact
-//! with this one.
+//! The per-connection state machine is the private `reactor` module; the
+//! board side is one driver over `nodes >= 1` boards ([`cluster`]), with
+//! homing policies, redirect re-homing, and — on a `.cluster()` run —
+//! shared discrete-event stations. A plain run is its one-board case
+//! without stations, which is what makes the 1-board clustered front end
+//! bit-exact with it.
 //!
 //! Determinism contract: the whole run is a pure function of
 //! ([`FrontendConfig`], [`SimConfig`], mechanism). Peers are deterministic
@@ -49,16 +55,14 @@ pub mod cluster;
 mod reactor;
 
 use crate::{Mechanism, Run, RunOutputExt, SimConfig};
-use reactor::{run_reactor, BoardDriver, Conn, ReqGen};
+use reactor::ReqGen;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use utlb_core::obs::{Event, Histogram, Probe, SharedCollector};
-use utlb_core::{CacheStats, LookupBatch, OutcomeBuf, TranslationMechanism, TranslationStats};
-use utlb_des::{AdmissionStats, CreditWindow};
-use utlb_mem::{Host, ProcessId, VirtAddr, PAGE_SIZE};
-use utlb_msg::{Frame, FRAME_BYTES};
-use utlb_nic::{Board, BoardSnapshot, Nanos};
+use utlb_core::obs::Histogram;
+use utlb_core::{CacheStats, TranslationStats};
+use utlb_des::AdmissionStats;
+use utlb_mem::{ProcessId, PAGE_SIZE};
 use utlb_trace::{Trace, TraceRecord};
 
 /// Shape of one front-end run: how many peers connect, how hard each one
@@ -70,12 +74,12 @@ pub struct FrontendConfig {
     /// Connections open simultaneously; the rest wait for a slot. Live
     /// reactor state is O(`open_window`), never O(`connections`).
     pub open_window: usize,
-    /// Requests each connection issues before its [`Frame::Bye`].
+    /// Requests each connection issues before its [`Frame::Bye`](utlb_msg::Frame::Bye).
     pub requests_per_conn: usize,
     /// Credits per connection: requests in service at once.
     pub credit_window: usize,
     /// Stall-queue depth per connection; a request beyond window + queue
-    /// is rejected with [`Frame::Busy`].
+    /// is rejected with [`Frame::Busy`](utlb_msg::Frame::Busy).
     pub queue_depth: usize,
     /// Mean think time between a connection's requests (ns). Lower = more
     /// offered load.
@@ -162,7 +166,7 @@ pub struct FrontendResult {
     /// Page-granular lookups those requests cost.
     pub served_lookups: u64,
     /// Flow-control counters summed over all connections; `rejected` here
-    /// is the [`Frame::Busy`] count.
+    /// is the [`Frame::Busy`](utlb_msg::Frame::Busy) count.
     pub admission: AdmissionStats,
     /// Translation counters summed over all connections (snapshotted at
     /// each close, before unregistration drops the per-process state).
@@ -204,176 +208,6 @@ impl FrontendResult {
     pub fn p999_us(&self) -> f64 {
         self.latency_quantile_us(0.999)
     }
-}
-
-/// Emits a lifecycle event to the optional observation probe.
-fn emit(probe: &mut Option<Box<dyn Probe>>, pid: ProcessId, event: Event) {
-    if let Some(p) = probe {
-        p.on_event(pid, event);
-    }
-}
-
-/// The single-board side of the reactor: one engine, one serial board
-/// clock, pricing exactly as the trace runners do. The 1-board
-/// [`cluster`] driver must stay bit-exact with this one — CI pins it.
-struct SingleBoard<'a, M: ?Sized> {
-    engine: &'a mut M,
-    fcfg: &'a FrontendConfig,
-    host: Host,
-    board: Board,
-    probe: Option<Box<dyn Probe>>,
-    out: OutcomeBuf,
-    accepted: u64,
-    refused: u64,
-    stats_acc: TranslationStats,
-    t0: Nanos,
-    last_service: Nanos,
-}
-
-impl<M: TranslationMechanism + ?Sized> BoardDriver for SingleBoard<'_, M> {
-    fn open(&mut self, index: u64, open_ns: u64, wire: &mut [u8; FRAME_BYTES]) -> Option<Conn> {
-        // Handshake: Hello → register → Welcome, or a refusal.
-        let hello = reactor::through_wire(
-            Frame::Hello {
-                client: index,
-                buffer_bytes: self.fcfg.buffer_pages * PAGE_SIZE,
-            },
-            wire,
-        );
-        debug_assert!(hello.is_request());
-        let pid = self.host.spawn_process();
-        match self
-            .engine
-            .register_process(&mut self.host, &mut self.board, pid)
-        {
-            Ok(()) => {
-                let welcome = reactor::through_wire(
-                    Frame::Welcome {
-                        conn: pid.raw(),
-                        credits: self.fcfg.credit_window as u32,
-                    },
-                    wire,
-                );
-                debug_assert!(!welcome.is_request());
-                self.accepted += 1;
-                emit(&mut self.probe, pid, Event::Connect);
-                let mut gen = ReqGen::new(self.fcfg, index, open_ns);
-                let pending = gen.next(self.fcfg);
-                Some(Conn {
-                    pid,
-                    board: 0,
-                    gen,
-                    window: CreditWindow::new(self.fcfg.credit_window, self.fcfg.queue_depth),
-                    pending,
-                    last_done_ns: open_ns,
-                    seq: 0,
-                })
-            }
-            Err(_) => {
-                // The board cannot hold another process directory: refuse
-                // the handshake and reclaim the host process.
-                self.host
-                    .kill_process(pid)
-                    .expect("freshly spawned process");
-                self.refused += 1;
-                None
-            }
-        }
-    }
-
-    fn initial_wave_done(&mut self) {
-        self.t0 = self.board.clock.now();
-        self.last_service = self.t0;
-    }
-
-    fn serve(&mut self, conn: &Conn, va: VirtAddr, nbytes: u64, at: Nanos) -> Nanos {
-        self.board.clock.advance_to(at);
-        self.out.clear();
-        self.engine
-            .lookup_run_into(
-                &mut self.host,
-                &mut self.board,
-                LookupBatch::for_buffer(conn.pid, va, nbytes),
-                &mut self.out,
-            )
-            .expect("frontend lookups succeed");
-        let translated = self.board.clock.now();
-        self.last_service = self.last_service.max(translated);
-        translated
-    }
-
-    fn record_latency(&mut self, _conn: &Conn, _lat_ns: u64) {
-        // One board: the reactor's run-wide histogram is the whole story.
-    }
-
-    fn emit(&mut self, conn: &Conn, event: Event) {
-        emit(&mut self.probe, conn.pid, event);
-    }
-
-    fn close(&mut self, conn: &Conn, _close_ns: u64) {
-        self.stats_acc += self
-            .engine
-            .stats(conn.pid)
-            .expect("open connection is registered");
-        self.engine
-            .unregister_process(&mut self.host, &mut self.board, conn.pid)
-            .expect("open connection is registered");
-        self.host
-            .kill_process(conn.pid)
-            .expect("connection process is live");
-        emit(&mut self.probe, conn.pid, Event::Close);
-    }
-}
-
-/// The single-board front end. See the module docs for the lifecycle; see
-/// [`Run::frontend`] for the public entry point.
-pub(crate) fn replay_frontend<M>(
-    engine: &mut M,
-    cfg: &SimConfig,
-    fcfg: &FrontendConfig,
-    obs: Option<&SharedCollector>,
-) -> (FrontendResult, BoardSnapshot)
-where
-    M: TranslationMechanism + ?Sized,
-{
-    fcfg.validate();
-    if let Some(c) = obs {
-        engine.set_probe(c.boxed());
-    }
-    let mut drv = SingleBoard {
-        engine,
-        fcfg,
-        host: Host::new(cfg.host_frames),
-        board: Board::new(),
-        probe: obs.map(SharedCollector::boxed),
-        out: OutcomeBuf::new(),
-        accepted: 0,
-        refused: 0,
-        stats_acc: TranslationStats::default(),
-        t0: Nanos::ZERO,
-        last_service: Nanos::ZERO,
-    };
-    let counts = run_reactor(&mut drv, fcfg);
-    if obs.is_some() {
-        drv.engine.take_probe();
-    }
-    drop(drv.probe);
-
-    let result = FrontendResult {
-        workload: "frontend".to_string(),
-        connections: fcfg.connections as u64,
-        accepted: drv.accepted,
-        refused: drv.refused,
-        offered: counts.offered,
-        served: counts.served,
-        served_lookups: drv.stats_acc.lookups,
-        admission: counts.admission,
-        stats: drv.stats_acc,
-        cache: drv.engine.cache_stats(),
-        sim_time_ns: (drv.last_service - drv.t0).as_nanos(),
-        latency_ns: counts.latency_ns,
-    };
-    (result, drv.board.snapshot())
 }
 
 /// Materializes the zero-backpressure image of a front-end workload as a

@@ -1,24 +1,21 @@
-//! The board-agnostic connection reactor: the request-plane state machine
-//! shared by the single-board and clustered front ends.
+//! The connection reactor: the request-plane state machine every live run
+//! drives.
 //!
 //! The reactor owns everything that is *connection* lifecycle — the event
 //! heap, the open-window slots, credit-window admission, the wire frames a
 //! peer exchanges, and the offered/served/latency accounting. Everything
 //! that is *board* — which board a connection homes to, how its handshake
 //! and lookups are priced, where its counters are snapshotted at close —
-//! goes through the [`BoardDriver`] the caller supplies. The single-board
-//! driver in the parent module prices on the serial board clock alone; the
-//! clustered driver in [`cluster`](super::cluster) adds homing policies,
-//! redirect re-homing, and discrete-event station pricing. Both drive this
-//! one loop, which is what makes the 1-board clustered front end bit-exact
-//! with the plain one.
+//! goes through the [`ClusterDriver`] over the run's boards.
 
+use super::cluster::ClusterDriver;
 use super::FrontendConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use utlb_core::obs::{Event, Histogram};
+use utlb_core::obs::Event;
+use utlb_core::TranslationMechanism;
 use utlb_des::{AdmissionOutcome, AdmissionStats, CreditWindow};
 use utlb_mem::{ProcessId, VirtAddr, PAGE_SIZE};
 use utlb_msg::{Frame, FRAME_BYTES};
@@ -39,7 +36,7 @@ pub(crate) struct Req {
 }
 
 /// Deterministic per-connection request generator — the *peer*. The live
-/// reactors and [`frontend_trace`](super::frontend_trace) all draw from
+/// reactor and [`frontend_trace`](super::frontend_trace) all draw from
 /// this one definition, which is what makes the trace the exact
 /// zero-backpressure image of the run.
 #[derive(Debug)]
@@ -99,9 +96,8 @@ impl ReqGen {
 #[derive(Debug)]
 pub(crate) struct Conn {
     pub(crate) pid: ProcessId,
-    /// The board this connection was homed to at admission (0 on a
-    /// single-board front end; the accepted candidate after any redirect
-    /// hops on a cluster).
+    /// The board this connection was homed to at admission: the accepted
+    /// candidate after any redirect hops.
     pub(crate) board: usize,
     pub(crate) gen: ReqGen,
     pub(crate) window: CreditWindow,
@@ -125,61 +121,27 @@ pub(crate) fn through_wire(frame: Frame, wire: &mut [u8; FRAME_BYTES]) -> Frame 
 
 /// What the reactor loop itself accounts for: connection-lifecycle
 /// counters that are board-independent. Accepted/refused/redirect counts
-/// are the driver's (they depend on homing), as are per-board stats.
+/// are the driver's (they depend on homing), as are per-board stats and
+/// latency histograms.
 #[derive(Debug)]
 pub(crate) struct ReactorCounts {
     pub(crate) offered: u64,
     pub(crate) served: u64,
     pub(crate) admission: AdmissionStats,
-    pub(crate) latency_ns: Histogram,
-}
-
-/// The board side of the reactor: everything the loop needs a board (or a
-/// cluster of boards) to do for it. Methods are called in a deterministic,
-/// simulated-time order; a driver must not read ambient time or
-/// randomness.
-pub(crate) trait BoardDriver {
-    /// Attempts to open connection `index` at simulated time `open_ns` —
-    /// the full handshake, including any redirect hops a clustered driver
-    /// performs. Returns the reactor state for an accepted connection
-    /// (with its home board recorded), or `None` if every candidate board
-    /// refused; the driver tracks its own accepted/refused counters.
-    fn open(&mut self, index: u64, open_ns: u64, wire: &mut [u8; FRAME_BYTES]) -> Option<Conn>;
-
-    /// Called once after the initial connection wave, so the driver can
-    /// fix each board's time origin (`t0`): simulated run time is measured
-    /// from the end of the wave's registration work.
-    fn initial_wave_done(&mut self);
-
-    /// Serves one admitted request at admission instant `at`: translate
-    /// `nbytes` from `va` on the connection's board. Returns the
-    /// completion time of the translation — the reactor adds the
-    /// configured drain on top.
-    fn serve(&mut self, conn: &Conn, va: VirtAddr, nbytes: u64, at: Nanos) -> Nanos;
-
-    /// Records a served request's end-to-end latency against the serving
-    /// board (the reactor keeps the run-wide histogram itself).
-    fn record_latency(&mut self, conn: &Conn, lat_ns: u64);
-
-    /// Emits a lifecycle event against the connection's board probe.
-    fn emit(&mut self, conn: &Conn, event: Event);
-
-    /// Tears down a closing connection: snapshot its translation counters,
-    /// unregister it from its board, reclaim the host process, and emit
-    /// the close event. `close_ns` is the close's event time.
-    fn close(&mut self, conn: &Conn, close_ns: u64);
 }
 
 /// The reactor loop. See the [module docs](self) for the split of labor
-/// between the loop and the [`BoardDriver`].
-pub(crate) fn run_reactor<D: BoardDriver>(drv: &mut D, fcfg: &FrontendConfig) -> ReactorCounts {
+/// between the loop and the [`ClusterDriver`].
+pub(crate) fn run_reactor<M: TranslationMechanism + ?Sized>(
+    drv: &mut ClusterDriver<'_, '_, M>,
+    fcfg: &FrontendConfig,
+) -> ReactorCounts {
     fcfg.validate();
     let mut wire = [0u8; FRAME_BYTES];
 
     let mut offered = 0u64;
     let mut served = 0u64;
     let mut admission = AdmissionStats::default();
-    let mut latency_ns = Histogram::new();
 
     // Event heap: (timestamp, pid, slot), smallest first. Each open
     // connection owns exactly one entry — its next request or its close —
@@ -249,7 +211,6 @@ pub(crate) fn run_reactor<D: BoardDriver>(drv: &mut D, fcfg: &FrontendConfig) ->
                         conn.last_done_ns = conn.last_done_ns.max(done.as_nanos());
                         served += 1;
                         let lat = done - arrival;
-                        latency_ns.record(lat.as_nanos());
                         drv.record_latency(conn, lat.as_nanos());
                         through_wire(
                             Frame::Done {
@@ -282,7 +243,7 @@ pub(crate) fn run_reactor<D: BoardDriver>(drv: &mut D, fcfg: &FrontendConfig) ->
                 admission.rejected += s.rejected;
                 admission.stall_ns += s.stall_ns;
                 admission.max_in_flight = admission.max_in_flight.max(s.max_in_flight);
-                drv.close(&conn, ts);
+                drv.close(&conn);
                 through_wire(Frame::ByeAck, &mut wire);
                 // The freed slot admits the next waiting connection, at the
                 // close's timestamp.
@@ -310,6 +271,5 @@ pub(crate) fn run_reactor<D: BoardDriver>(drv: &mut D, fcfg: &FrontendConfig) ->
         offered,
         served,
         admission,
-        latency_ns,
     }
 }

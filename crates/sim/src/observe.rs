@@ -1,7 +1,7 @@
 //! Observability reports for simulation runs.
 //!
-//! A run driven through [`run_observed`](crate::run_observed) yields an
-//! [`ObsReport`] next to its [`SimResult`](crate::SimResult): the event
+//! A run configured with `.observed()` yields an [`ObsReport`] next to its
+//! result: the event
 //! counters and latency histograms collected by the engine probe, the
 //! last-events ring per process, the NIC board's own hardware counters,
 //! and the outcome of reconciling the probe stream against the engine's
@@ -38,25 +38,55 @@ pub struct ObsReport {
     pub mismatches: Vec<String>,
 }
 
-/// Snapshots `collector` into a report reconciled against `stats` — the one
-/// assembly point every observed runner shares.
-pub(crate) fn build_report(
-    mechanism: &str,
-    workload: &str,
-    stats: &TranslationStats,
-    board: BoardSnapshot,
-    collector: &SharedCollector,
-) -> ObsReport {
-    let snap = collector.snapshot();
-    let mismatches = snap.metrics.reconcile(stats);
-    ObsReport {
-        mechanism: mechanism.to_string(),
-        workload: workload.to_string(),
-        metrics: snap.metrics,
-        board,
-        traces: snap.recorder.dump(),
-        reconciled: mismatches.is_empty(),
-        mismatches,
+/// Per-process event-ring capacity of the per-board collectors whose
+/// metrics a cluster run keeps in its result cells.
+const CELL_RING: usize = 32;
+
+/// The collectors a run attaches to its boards, and what it keeps of them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Collect {
+    /// One collector per board, kept as the board's result-cell metrics
+    /// (`.cluster()` runs).
+    Cells,
+    /// One collector with this ring capacity on the run's one board, kept
+    /// whole as the run's [`ObsReport`] (`.observed()` runs).
+    Report(usize),
+}
+
+impl Collect {
+    /// A fresh collector for one board.
+    pub(crate) fn collector(self) -> SharedCollector {
+        SharedCollector::new(match self {
+            Collect::Cells => CELL_RING,
+            Collect::Report(ring) => ring,
+        })
+    }
+
+    /// What one board's collector leaves behind: its metrics and whether
+    /// they reconcile with the board's `stats`, plus — when the run asked
+    /// for one — the full report. A cell keeps only the metrics, so its
+    /// event rings are never copied out.
+    pub(crate) fn finish(
+        self,
+        collector: &SharedCollector,
+        mechanism: &str,
+        workload: &str,
+        stats: &TranslationStats,
+        board: BoardSnapshot,
+    ) -> (Metrics, bool, Option<ObsReport>) {
+        let snap = collector.snapshot();
+        let mismatches = snap.metrics.reconcile(stats);
+        let reconciled = mismatches.is_empty();
+        let report = matches!(self, Collect::Report(_)).then(|| ObsReport {
+            mechanism: mechanism.to_string(),
+            workload: workload.to_string(),
+            metrics: snap.metrics.clone(),
+            board,
+            traces: snap.recorder.dump(),
+            reconciled,
+            mismatches,
+        });
+        (snap.metrics, reconciled, report)
     }
 }
 

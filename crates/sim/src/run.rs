@@ -1,10 +1,5 @@
-//! The unified run builder — the one public entry point into every replay
-//! mode.
-//!
-//! The thirteen `run*`/`run_des*` functions that accreted as the simulator
-//! grew (serial/streamed × dispatched/engine-supplied × observed/plain ×
-//! serial-clock/discrete-event) were all the same replay loop behind
-//! different argument lists. [`Run`] replaces them with one builder:
+//! The run builder — the one public entry point into every run. [`Run`]
+//! configures a run and `execute` performs it:
 //!
 //! ```
 //! use utlb_sim::{Mechanism, Run, RunOutputExt, SimConfig};
@@ -37,24 +32,29 @@
 //! *live connections* over the cluster — and `.observed()` attaches the
 //! metrics/event-ring collector.
 //!
+//! Behind the builder there is one loop per input kind: every trace input
+//! replays through one loop over `nodes >= 1` boards, and every [`Live`]
+//! input drives one connection reactor over `nodes >= 1` boards. A plain
+//! run is the one-board case with no station overlay; `.des()` and
+//! `.cluster()` switch the overlay on.
+//!
 //! Misconfiguration is a typed, recoverable [`RunError`] returned from
 //! [`Run::execute`], never a panic: an incompatible builder combination,
 //! the wrong input shape, or reading an output as a shape the run did not
 //! produce all surface as `Err`. [`RunOutputExt`] lets the `Result` chain
 //! straight into the accessors (`.execute(&trace).into_sim()?`).
 
-use crate::cluster::{replay_cluster, ClusterConfig, ClusterResult};
-use crate::des_runner::{replay_des, DesResult};
-use crate::frontend::cluster::{replay_cluster_frontend, ClusterFrontendResult};
-use crate::frontend::{replay_frontend, FrontendConfig, FrontendResult};
-use crate::observe::{build_report, ObsReport};
-use crate::runner::{replay_stream, SimResult, SweepScratch};
+use crate::cluster::{ClusterConfig, ClusterResult, HomingPolicy};
+use crate::des_runner::DesResult;
+use crate::frontend::cluster::{serve_live, ClusterFrontendResult};
+use crate::frontend::{FrontendConfig, FrontendResult};
+use crate::observe::{Collect, ObsReport};
+use crate::runner::{replay, SimResult, SweepScratch};
 use crate::{Mechanism, SimConfig};
-use utlb_core::obs::SharedCollector;
 use utlb_core::TranslationMechanism;
 use utlb_des::DesConfig;
 use utlb_mem::ProcessId;
-use utlb_trace::{Trace, TraceRecord, TraceStream, TraceView};
+use utlb_trace::{Trace, TraceStream, TraceView};
 
 /// Per-process event-ring capacity [`Run::observed`] uses.
 pub const DEFAULT_OBS_RING: usize = 64;
@@ -229,8 +229,9 @@ impl Run {
     /// replay loop's reusable buffers (stream chunk, outcome buffer, DES
     /// event/demand vectors) come from `scratch` instead of being
     /// allocated fresh — the way sweep workers run many cells with one
-    /// arena (see [`sweep_with`](crate::sweep_with)). Cluster and frontend
-    /// runs manage per-board buffers internally and ignore `scratch`.
+    /// arena (see [`sweep_with`](crate::sweep_with)). Every trace run uses
+    /// it, on any number of boards; a [`Live`] run generates its own
+    /// requests and leaves it untouched.
     ///
     /// # Errors
     ///
@@ -247,14 +248,15 @@ impl Run {
         input: impl RunInput,
     ) -> Result<RunOutput, RunError> {
         let mech = self.mech.ok_or(RunError::NoMechanism)?;
-        if self.cluster.is_some() {
-            if self.frontend.is_some() {
-                return input.dispatch(ClusterFrontendExec { run: self, mech });
-            }
-            return input.dispatch(ClusterExec { run: self, mech });
-        }
-        let mut engine = mech.engine(&self.cfg);
-        self.execute_with_in(&mut *engine, scratch, input)
+        self.check()?;
+        let nodes = self.cluster.as_ref().map_or(1, |c| c.nodes);
+        let mut owned: Vec<Box<dyn TranslationMechanism>> =
+            (0..nodes).map(|_| mech.engine(&self.cfg)).collect();
+        input.dispatch(Exec {
+            run: self,
+            engines: owned.iter_mut().map(|e| &mut **e).collect(),
+            scratch,
+        })
     }
 
     /// Executes the run on a caller-supplied engine. The engine's processes
@@ -306,32 +308,125 @@ impl Run {
                 "cluster runs construct one engine per board: use Run::execute",
             ));
         }
-        input.dispatch(EngineExec {
+        self.check()?;
+        input.dispatch(Exec {
             run: self,
-            engine,
+            engines: vec![engine],
             scratch,
         })
     }
+
+    /// Rejects option combinations no input can satisfy, before any work.
+    fn check(&self) -> Result<(), RunError> {
+        let reject = |msg| Err(RunError::IncompatibleConfig(msg));
+        let Some(c) = &self.cluster else {
+            if self.frontend.is_some() && self.des.is_some() {
+                return reject(
+                    "a single-board frontend run owns its own clock discipline: \
+                     drop .des() or add .cluster(topology)",
+                );
+            }
+            return Ok(());
+        };
+        if c.nodes == 0 {
+            return reject("a cluster needs at least one board");
+        }
+        if self.frontend.is_some() {
+            if self.obs_ring.is_some() {
+                return reject(
+                    "a clustered frontend reports per-board metrics in its result cells: \
+                     drop .observed()",
+                );
+            }
+            if !c.migrations.is_empty() {
+                return reject(
+                    "scheduled migrations replay traces: the frontend re-homes \
+                     connections at admission instead",
+                );
+            }
+            if c.shard.is_some() {
+                return reject(
+                    "a shard map places trace processes: the frontend homes \
+                     connections by .homing(policy) instead",
+                );
+            }
+            return Ok(());
+        }
+        if self.obs_ring.is_some() {
+            return reject(
+                "a trace cluster reports per-board metrics in its result cells: \
+                 drop .observed()",
+            );
+        }
+        if c.shard.as_ref().is_some_and(|map| map.nodes() != c.nodes) {
+            return reject("the shard map covers a different number of boards than the cluster");
+        }
+        if c.migrations.iter().any(|m| m.to_board >= c.nodes) {
+            return reject("a migration names an out-of-range board");
+        }
+        Ok(())
+    }
+
+    /// The collectors the run attaches: one per board on a cluster (for
+    /// its result cells), else the `.observed()` one.
+    fn collect(&self) -> Option<Collect> {
+        match &self.cluster {
+            Some(_) => Some(Collect::Cells),
+            None => self.obs_ring.map(Collect::Report),
+        }
+    }
+
+    /// The station overlay's timing: a cluster always prices on stations
+    /// (zero contention unless `.des()` says otherwise).
+    fn overlay(&self) -> Option<DesConfig> {
+        match &self.cluster {
+            Some(_) => Some(self.des.unwrap_or_default()),
+            None => self.des,
+        }
+    }
+}
+
+/// Rejects a cluster topology that does not fit the stream's processes.
+fn check_placement(c: &ClusterConfig, pids: &[ProcessId]) -> Result<(), RunError> {
+    if let Some(map) = &c.shard {
+        if pids.iter().any(|&pid| map.board_of(pid).is_none()) {
+            return Err(RunError::IncompatibleConfig(
+                "the shard map misses a pid of the stream",
+            ));
+        }
+    }
+    if c.migrations
+        .iter()
+        .any(|m| m.pid == 0 || m.pid as usize > pids.len())
+    {
+        return Err(RunError::IncompatibleConfig(
+            "a migration names a pid the stream does not have",
+        ));
+    }
+    Ok(())
 }
 
 /// An input [`Run::execute`] accepts: a materialized `&`[`Trace`], a
 /// `&mut` [`TraceStream`] (fused generate+replay), or [`Live`].
 /// Implemented for exactly those shapes; the trait only routes the input
-/// to the replay loop.
+/// to the trace replay loop or the live driver.
 pub trait RunInput {
-    /// Hands the underlying stream to `visitor`. Not meant to be called
-    /// directly — [`Run::execute`] does.
+    /// Hands the underlying stream — or, for [`Live`], the live request
+    /// plane — to `visitor`. Not meant to be called directly —
+    /// [`Run::execute`] does.
     #[doc(hidden)]
     fn dispatch<V: StreamVisitor>(self, visitor: V) -> V::Out;
 }
 
-/// Internal visitor that receives the stream an input resolves to.
+/// Internal visitor that receives what an input resolves to.
 #[doc(hidden)]
 pub trait StreamVisitor {
     /// The visit result.
     type Out;
     /// Consumes the resolved stream.
     fn visit<S: TraceStream + ?Sized>(self, stream: &mut S) -> Self::Out;
+    /// Runs the live request plane ([`Live`] input).
+    fn visit_live(self) -> Self::Out;
 }
 
 impl RunInput for &Trace {
@@ -366,192 +461,81 @@ impl<S: TraceStream> RunInput for &mut S {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Live;
 
-/// Workload sentinel [`Live`] dispatches; the frontend branches require it.
-pub(crate) const LIVE_WORKLOAD: &str = "\0live";
-
-/// The empty stream behind [`Live`]. Replaying it is a no-op; its only job
-/// is to carry the sentinel through the visitor plumbing.
-struct LiveSource;
-
-impl TraceStream for LiveSource {
-    fn next_record(&mut self) -> Option<TraceRecord> {
-        None
-    }
-    fn remaining(&self) -> u64 {
-        0
-    }
-    fn workload(&self) -> &str {
-        LIVE_WORKLOAD
-    }
-    fn seed(&self) -> u64 {
-        0
-    }
-    fn process_ids(&self) -> Vec<ProcessId> {
-        Vec::new()
-    }
-}
-
 impl RunInput for Live {
     fn dispatch<V: StreamVisitor>(self, visitor: V) -> V::Out {
-        visitor.visit(&mut LiveSource)
+        visitor.visit_live()
     }
 }
 
-/// Single-engine execution: serial or DES, observed or plain. The scratch
-/// arena feeds the trace replay loops; the frontend branch (live requests,
-/// no trace) ignores it.
-struct EngineExec<'r, 'e, 's, M: ?Sized> {
+/// The one dispatch of a configured run: a trace input replays through the
+/// trace loop, [`Live`] drives the live reactor, each over the run's
+/// engines — one per board, borrowed for the run.
+struct Exec<'r, 'e, 's, M: ?Sized> {
     run: &'r Run,
-    engine: &'e mut M,
+    engines: Vec<&'e mut M>,
     scratch: &'s mut SweepScratch,
 }
 
-impl<M: TranslationMechanism + ?Sized> StreamVisitor for EngineExec<'_, '_, '_, M> {
+impl<M: TranslationMechanism + ?Sized> StreamVisitor for Exec<'_, '_, '_, M> {
     type Out = Result<RunOutput, RunError>;
 
     fn visit<S: TraceStream + ?Sized>(self, stream: &mut S) -> Result<RunOutput, RunError> {
-        let collector = self.run.obs_ring.map(SharedCollector::new);
-        if let Some(fcfg) = &self.run.frontend {
-            if self.run.des.is_some() {
-                return Err(RunError::IncompatibleConfig(
-                    "a single-board frontend run owns its own clock discipline: \
-                     drop .des() or add .cluster(topology)",
-                ));
-            }
-            if stream.workload() != LIVE_WORKLOAD {
-                return Err(RunError::IncompatibleInput(
-                    "a frontend run generates its own requests: execute(Live), not a trace",
-                ));
-            }
-            let (result, board) =
-                replay_frontend(self.engine, &self.run.cfg, fcfg, collector.as_ref());
-            let obs = collector.map(|c| {
-                build_report(
-                    self.engine.name(),
-                    &result.workload,
-                    &result.stats,
-                    board,
-                    &c,
-                )
-            });
-            return Ok(RunOutput {
-                payload: Payload::Frontend(Box::new(result)),
-                obs,
-            });
-        }
-        if stream.workload() == LIVE_WORKLOAD {
-            return Err(RunError::IncompatibleInput(
-                "a Live input needs .frontend(cfg): nothing else generates requests",
-            ));
-        }
-        if let Some(des) = &self.run.des {
-            let (result, board) = replay_des(
-                self.engine,
-                stream,
-                &self.run.cfg,
-                des,
-                collector.as_ref(),
-                self.scratch,
-            );
-            let obs = collector.map(|c| {
-                build_report(
-                    self.engine.name(),
-                    &result.base.workload,
-                    &result.base.stats,
-                    board,
-                    &c,
-                )
-            });
-            Ok(RunOutput {
-                payload: Payload::Des(Box::new(result)),
-                obs,
-            })
-        } else if let Some(collector) = collector {
-            self.engine.set_probe(collector.boxed());
-            let (result, board) = replay_stream(self.engine, stream, &self.run.cfg, self.scratch);
-            self.engine.take_probe();
-            let obs = build_report(
-                self.engine.name(),
-                &result.workload,
-                &result.stats,
-                board,
-                &collector,
-            );
-            Ok(RunOutput {
-                payload: Payload::Sim(result),
-                obs: Some(obs),
-            })
-        } else {
-            let (result, _) = replay_stream(self.engine, stream, &self.run.cfg, self.scratch);
-            Ok(RunOutput {
-                payload: Payload::Sim(result),
-                obs: None,
-            })
-        }
-    }
-}
-
-/// Cluster trace execution: one engine per board, shared stations.
-struct ClusterExec<'r> {
-    run: &'r Run,
-    mech: Mechanism,
-}
-
-impl StreamVisitor for ClusterExec<'_> {
-    type Out = Result<RunOutput, RunError>;
-
-    fn visit<S: TraceStream + ?Sized>(self, stream: &mut S) -> Result<RunOutput, RunError> {
-        if stream.workload() == LIVE_WORKLOAD {
-            return Err(RunError::IncompatibleInput(
-                "a Live input needs .frontend(cfg): nothing else generates requests",
-            ));
-        }
-        let des = self.run.des.unwrap_or_default();
-        let cluster = self.run.cluster.as_ref().expect("checked by execute");
-        let result = replay_cluster(self.mech, stream, &self.run.cfg, &des, cluster);
-        Ok(RunOutput {
-            payload: Payload::Cluster(Box::new(result)),
-            obs: None,
-        })
-    }
-}
-
-/// Clustered live-frontend execution: the request plane homed over N
-/// boards with shared stations.
-struct ClusterFrontendExec<'r> {
-    run: &'r Run,
-    mech: Mechanism,
-}
-
-impl StreamVisitor for ClusterFrontendExec<'_> {
-    type Out = Result<RunOutput, RunError>;
-
-    fn visit<S: TraceStream + ?Sized>(self, stream: &mut S) -> Result<RunOutput, RunError> {
-        if stream.workload() != LIVE_WORKLOAD {
+        let run = self.run;
+        if run.frontend.is_some() {
             return Err(RunError::IncompatibleInput(
                 "a frontend run generates its own requests: execute(Live), not a trace",
             ));
         }
-        if self.run.obs_ring.is_some() {
-            return Err(RunError::IncompatibleConfig(
-                "a clustered frontend reports per-board metrics in its result cells: \
-                 drop .observed()",
-            ));
+        if let Some(c) = &run.cluster {
+            check_placement(c, &stream.process_ids())?;
         }
-        let cluster = self.run.cluster.as_ref().expect("checked by execute");
-        if !cluster.migrations.is_empty() {
-            return Err(RunError::IncompatibleConfig(
-                "scheduled migrations replay traces: the frontend re-homes \
-                 connections at admission instead",
+        let one_board = ClusterConfig::new(1);
+        let topology = run.cluster.as_ref().unwrap_or(&one_board);
+        let mut replayed = replay(
+            self.engines,
+            stream,
+            &run.cfg,
+            topology,
+            run.overlay().as_ref(),
+            run.collect(),
+            self.scratch,
+        );
+        let obs = replayed.obs.take();
+        let payload = if run.cluster.is_some() {
+            Payload::Cluster(Box::new(replayed.result))
+        } else if run.des.is_some() {
+            Payload::Des(Box::new(replayed.into_des()))
+        } else {
+            Payload::Sim(replayed.into_sim())
+        };
+        Ok(RunOutput { payload, obs })
+    }
+
+    fn visit_live(self) -> Result<RunOutput, RunError> {
+        let run = self.run;
+        let Some(fcfg) = &run.frontend else {
+            return Err(RunError::IncompatibleInput(
+                "a Live input needs .frontend(cfg): nothing else generates requests",
             ));
-        }
-        let fcfg = self.run.frontend.as_ref().expect("checked by execute");
-        let des = self.run.des.unwrap_or_default();
-        let result = replay_cluster_frontend(self.mech, &self.run.cfg, fcfg, &des, cluster);
-        Ok(RunOutput {
-            payload: Payload::ClusterFrontend(Box::new(result)),
-            obs: None,
-        })
+        };
+        let homing = run
+            .cluster
+            .as_ref()
+            .map_or_else(HomingPolicy::default, |c| c.homing);
+        let (result, obs) = serve_live(
+            self.engines,
+            &run.cfg,
+            fcfg,
+            homing,
+            run.overlay().as_ref(),
+            run.collect(),
+        );
+        let payload = if run.cluster.is_some() {
+            Payload::ClusterFrontend(Box::new(result))
+        } else {
+            Payload::Frontend(Box::new(result.single_board_image()))
+        };
+        Ok(RunOutput { payload, obs })
     }
 }
 
@@ -843,7 +827,7 @@ impl RunOutputExt for Result<RunOutput, RunError> {
 mod tests {
     use super::*;
     use utlb_core::UtlbEngine;
-    use utlb_trace::{gen, GenConfig, SplashApp};
+    use utlb_trace::{gen, GenConfig, ShardMap, SplashApp};
 
     fn tiny() -> Trace {
         gen::generate(
@@ -955,6 +939,60 @@ mod tests {
             .execute_with(&mut engine, &tiny())
             .unwrap_err();
         assert!(err.to_string().contains("use Run::execute"), "{err}");
+    }
+
+    /// The message of the `IncompatibleConfig` error `run` fails with on
+    /// the `tiny()` trace.
+    fn config_error(run: Run) -> String {
+        match run.config(&SimConfig::study(64)).execute(&tiny()) {
+            Err(RunError::IncompatibleConfig(msg)) => msg.to_string(),
+            other => panic!("expected IncompatibleConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_cluster_of_zero_boards_is_a_typed_error() {
+        let msg = config_error(Run::new(Mechanism::Utlb).cluster(ClusterConfig::new(0)));
+        assert!(msg.contains("at least one board"), "{msg}");
+    }
+
+    #[test]
+    fn a_shard_map_that_does_not_fit_is_a_typed_error() {
+        let wrong_nodes = ClusterConfig::new(2).shard(ShardMap::new(3));
+        let msg = config_error(Run::new(Mechanism::Utlb).cluster(wrong_nodes));
+        assert!(msg.contains("different number of boards"), "{msg}");
+        let mut partial = ShardMap::new(2);
+        partial.assign(ProcessId::new(1), 1);
+        let msg =
+            config_error(Run::new(Mechanism::Utlb).cluster(ClusterConfig::new(2).shard(partial)));
+        assert!(msg.contains("misses a pid"), "{msg}");
+    }
+
+    #[test]
+    fn a_migration_of_an_unknown_pid_is_a_typed_error() {
+        let cluster = ClusterConfig::new(2).migrate(99, 0, 1);
+        let msg = config_error(Run::new(Mechanism::Utlb).cluster(cluster));
+        assert!(msg.contains("does not have"), "{msg}");
+    }
+
+    #[test]
+    fn observing_a_trace_cluster_is_a_typed_error() {
+        let run = Run::new(Mechanism::Utlb)
+            .cluster(ClusterConfig::new(2))
+            .observed();
+        let msg = config_error(run);
+        assert!(msg.contains("drop .observed()"), "{msg}");
+    }
+
+    #[test]
+    fn a_shard_map_on_a_clustered_frontend_is_a_typed_error() {
+        let err = Run::new(Mechanism::Utlb)
+            .frontend(FrontendConfig::default())
+            .cluster(ClusterConfig::new(2).shard(ShardMap::new(2)))
+            .execute(Live)
+            .unwrap_err();
+        assert!(matches!(err, RunError::IncompatibleConfig(_)), "{err}");
+        assert!(err.to_string().contains(".homing(policy)"), "{err}");
     }
 
     #[test]

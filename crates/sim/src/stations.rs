@@ -1,30 +1,68 @@
-//! The shared discrete-event stations of a multi-board run, and the walk
-//! that prices one request's demands across them.
+//! The discrete-event overlay: the stations a request's demands are priced
+//! on, and the one walk that prices them.
 //!
-//! A cluster gives every board its own engine, firmware station, and DMA
-//! engine — the private resources a physical NIC carries — but exactly one
-//! host memory system, one I/O bus, and one host interrupt service: the
-//! backplane resources N boards must contend for. Both multi-board
-//! runners ([`cluster`](crate::cluster) trace replay and the clustered
-//! front end in [`frontend::cluster`](crate::frontend::cluster)) price on
-//! the same [`station_walk`], so "cross-board contention" means the same
-//! thing whether the traffic was recorded or generated live.
+//! Every board owns its engine, firmware station, and DMA engine — the
+//! private resources a physical NIC carries ([`BoardStations`]) — but a run
+//! has exactly one host memory system, one I/O bus, and one host interrupt
+//! service ([`SharedStations`]): the backplane resources N boards contend
+//! for. Both the trace replay loop ([`runner`](crate::runner)) and the live
+//! driver ([`frontend::cluster`](crate::frontend::cluster)) price on the
+//! same [`station_walk`], so "contention" means the same thing whether the
+//! traffic was recorded or generated live, on one board or many.
 //!
-//! The walk preserves the serial runners' charge exactly when
-//! uncontended: every station grant starts at the walking cursor (the
-//! previous grant never ends later under zero contention), so a 1-board
-//! cluster reproduces the serial overlay bit-for-bit — the determinism
-//! contract `tests/cluster.rs` and `tests/cluster_frontend.rs` pin.
+//! The walk preserves the serial charge exactly when uncontended: every
+//! station grant starts at the walking cursor (the previous grant never
+//! ends later under zero contention), so a zero-contention overlay
+//! reproduces the serial clock bit-for-bit — the determinism contract
+//! `tests/des_equivalence.rs`, `tests/cluster.rs` and
+//! `tests/cluster_frontend.rs` pin.
 
-use crate::des_runner::{emit_wait, DesConfig};
-use utlb_core::obs::{Probe, WaitResource};
-use utlb_core::PageDemand;
-use utlb_des::{DmaEngineModel, IntrServiceModel, IoBusModel, Resource, ResourceReport};
+use crate::des_runner::DesConfig;
+use std::cell::RefCell;
+use std::rc::Rc;
+use utlb_core::obs::{Event, Probe, WaitResource};
+use utlb_core::{page_demands_into, PageDemand};
+use utlb_des::{DmaEngineModel, Grant, IntrServiceModel, IoBusModel, Resource, ResourceReport};
 use utlb_mem::ProcessId;
 use utlb_nic::Nanos;
 
-/// The stations one cluster backplane cannot replicate per board: host
-/// memory, the I/O bus, and host interrupt service.
+/// Captures the engine's event stream per lookup for demand decomposition,
+/// forwarding to an optional downstream probe (the board's collector).
+#[derive(Debug)]
+struct DemandTap {
+    buf: Rc<RefCell<Vec<Event>>>,
+    inner: Option<Box<dyn Probe>>,
+}
+
+impl Probe for DemandTap {
+    fn on_event(&mut self, pid: ProcessId, event: Event) {
+        self.buf.borrow_mut().push(event);
+        if let Some(p) = &mut self.inner {
+            p.on_event(pid, event);
+        }
+    }
+}
+
+/// Emits a [`Event::Wait`] to the optional observation probe.
+pub(crate) fn emit_wait(
+    probe: &mut Option<Box<dyn Probe>>,
+    pid: ProcessId,
+    resource: WaitResource,
+    wait: Nanos,
+) {
+    if let Some(p) = probe {
+        p.on_event(
+            pid,
+            Event::Wait {
+                resource,
+                ns: wait.as_nanos(),
+            },
+        );
+    }
+}
+
+/// The stations one backplane cannot replicate per board: host memory,
+/// the I/O bus, and host interrupt service.
 pub(crate) struct SharedStations {
     /// The host memory system driver pin/unpin work funnels through.
     pub(crate) host_mem: Resource,
@@ -70,6 +108,93 @@ pub(crate) struct StationWaits {
     pub(crate) host_mem: Nanos,
 }
 
+/// One board's private stations — its firmware processor and DMA engine —
+/// and the tap that feeds them its engine's demands.
+pub(crate) struct BoardStations {
+    /// The NIC firmware: a request holds it for its whole walk.
+    pub(crate) firmware: Resource,
+    /// The board's DMA engine.
+    pub(crate) dma: DmaEngineModel,
+    tap: Rc<RefCell<Vec<Event>>>,
+    /// Queueing this board's work accumulated, by station.
+    pub(crate) waits: StationWaits,
+    /// When this board's last work left the stations.
+    pub(crate) des_end: Nanos,
+}
+
+impl BoardStations {
+    /// Idle stations under `des` timing.
+    pub(crate) fn new(des: &DesConfig) -> Self {
+        BoardStations {
+            firmware: Resource::fifo("nic_firmware", 1),
+            dma: DmaEngineModel::new(&des.bus),
+            tap: Rc::new(RefCell::new(Vec::new())),
+            waits: StationWaits::default(),
+            des_end: Nanos::ZERO,
+        }
+    }
+
+    /// The engine probe that records into this board's tap and forwards
+    /// every event to `inner`.
+    pub(crate) fn tap(&self, inner: Option<Box<dyn Probe>>) -> Box<dyn Probe> {
+        Box::new(DemandTap {
+            buf: Rc::clone(&self.tap),
+            inner,
+        })
+    }
+
+    /// Drains the tap into per-page `demands`, using `events` as the swap
+    /// buffer so neither allocates at steady state.
+    pub(crate) fn drain(&self, events: &mut Vec<Event>, demands: &mut Vec<PageDemand>) {
+        events.clear();
+        std::mem::swap(&mut *self.tap.borrow_mut(), events);
+        page_demands_into(events, demands);
+    }
+
+    /// Prices one request arriving at `arrival`: the firmware is held while
+    /// `demands` walk the stations ([`station_walk`]). Charges the firmware
+    /// wait and advances `des_end`; returns the firmware grant.
+    pub(crate) fn price(
+        &mut self,
+        arrival: Nanos,
+        demands: &[PageDemand],
+        kernel_pins: bool,
+        pid: ProcessId,
+        shared: &mut SharedStations,
+        probe: &mut Option<Box<dyn Probe>>,
+    ) -> Grant {
+        let BoardStations {
+            firmware,
+            dma,
+            waits,
+            ..
+        } = self;
+        let grant = firmware.acquire_with(arrival, |start| {
+            station_walk(start, demands, kernel_pins, pid, dma, shared, waits, probe)
+        });
+        self.waits.fw += grant.wait;
+        self.des_end = self.des_end.max(grant.end);
+        grant
+    }
+
+    /// A board's station totals: its waits, when its last work left the
+    /// stations, and its station reports (firmware, then DMA engine).
+    /// Without the overlay nothing waited, and the end is the origin `t0`.
+    pub(crate) fn summary(
+        stations: Option<&BoardStations>,
+        t0: Nanos,
+    ) -> (StationWaits, Nanos, Vec<ResourceReport>) {
+        match stations {
+            Some(st) => (
+                st.waits,
+                st.des_end,
+                vec![st.firmware.report(), st.dma.report()],
+            ),
+            None => (StationWaits::default(), t0, Vec::new()),
+        }
+    }
+}
+
 /// Prices one request's page demands across the stations, starting at
 /// `start` (the firmware grant instant): firmware compute advances the
 /// cursor directly; driver pin work crosses to shared host memory (or
@@ -79,9 +204,9 @@ pub(crate) struct StationWaits {
 /// Returns the cursor after the last demand — the firmware occupancy end.
 ///
 /// Uncontended, every inner grant starts exactly at the cursor, so the
-/// returned end equals the serial runners' charge for the same demands.
+/// returned end equals the serial clock's charge for the same demands.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn station_walk(
+fn station_walk(
     start: Nanos,
     demands: &[PageDemand],
     kernel_pins: bool,
@@ -115,6 +240,9 @@ pub(crate) fn station_walk(
             cursor = g.end;
         }
         if d.dma_ns > 0 {
+            // Split the serial DMA charge into engine programming and the
+            // bus data phase; the two service times sum to the serial
+            // charge.
             let total = Nanos::from_nanos(d.dma_ns);
             let setup = dma.setup().min(total);
             let g1 = dma.program_for(cursor, setup);
