@@ -20,7 +20,8 @@ fn churn_cfg() -> FrontendConfig {
 }
 
 fn bench_cluster_frontend(c: &mut Criterion) {
-    let sim = SimConfig::study(2048);
+    // The cache size `run_all cluster_frontend` runs at.
+    let sim = SimConfig::study(8192);
     let fcfg = churn_cfg();
     let requests = (fcfg.connections * fcfg.requests_per_conn) as u64;
 

@@ -34,7 +34,8 @@ fn churn_cfg() -> FrontendConfig {
 
 /// Live front end vs serial replay of its own materialized trace.
 fn bench_frontend(c: &mut Criterion) {
-    let sim = SimConfig::study(2048);
+    // The cache size `run_all frontend` runs at.
+    let sim = SimConfig::study(8192);
     let fcfg = steady_cfg();
     let requests = (fcfg.connections * fcfg.requests_per_conn) as u64;
     let trace = frontend_trace(&fcfg);

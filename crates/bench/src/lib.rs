@@ -4,12 +4,16 @@
 //! figure plus the extension runs, all on one command line ([`cli`]).
 //! With no name, `run_all` reproduces the whole evaluation in paper order;
 //! `run_all --help` lists every entry with the flags it honours.
+//!
+//! An entry writes only its stdout and the `--json`/`--csv` paths it is
+//! given (`--obs` adds `results/obs_*.json`), and it times nothing except
+//! the `obs_guard` gate. Wall-clock cost comes from the Criterion benches
+//! in `benches/`, which time the same runs over repeated samples.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod cli;
-mod live;
 mod paper;
 pub mod registry;
 

@@ -1,18 +1,20 @@
 //! The experiment registry: every table, figure and extension run the
 //! `run_all` binary knows, with the flags each one honours.
 
-use crate::cli::{write_json, Flag, Invocation, Operand};
-use crate::{live, paper};
+use crate::cli::{Flag, Invocation, Operand};
+use crate::paper;
 use serde::Serialize;
 use std::fmt::Display;
 use std::fs::File;
 use std::hint::black_box;
 use std::io::{BufReader, BufWriter, Write};
-use std::path::Path;
 use std::time::Instant;
 use utlb_core::obs::NoopProbe;
 use utlb_core::{TranslationMechanism, UtlbEngine};
-use utlb_sim::experiments::{self as exp, CLUSTER_NODES, FRONTEND_CONNS, STREAM_SCALE_APP};
+use utlb_sim::experiments::{
+    self as exp, CLUSTER_FRONTEND_CONNS, CLUSTER_FRONTEND_NODES, CLUSTER_NODES, FRONTEND_CONNS,
+    STREAM_SCALE_APP,
+};
 use utlb_sim::{wait_breakdown, DesConfig, Mechanism, Run, RunOutputExt, SimConfig};
 use utlb_trace::{gen, read_jsonl, write_jsonl, SplashApp};
 use Flag::{Cap, Csv, Json, Obs, Scale, Seed};
@@ -71,7 +73,7 @@ const FIGURE: &[Flag] = &[Scale, Seed, Json, Csv];
 
 /// NIC cache entries of every extension run — the paper's default study
 /// point (Tables 4–5).
-pub(crate) const CACHE_ENTRIES: usize = 8192;
+const CACHE_ENTRIES: usize = 8192;
 
 /// Offered load of the interference run and its station breakdown.
 const INTERFERENCE_LOAD: f64 = 4.0;
@@ -83,7 +85,7 @@ const STREAM_EPOCHS: u64 = 2800;
 /// The run with no name: the whole evaluation in paper order.
 pub(crate) static PAPER_RUN: Entry = entry(
     "",
-    "Tables 1–8, Figures 7–8, contention, interference, then the sweep bench → BENCH_sweep.json",
+    "Tables 1–8, Figures 7–8, contention, interference; --obs: probe pass → results/obs_*.json",
     &[Scale, Seed, Obs],
     paper::run,
 );
@@ -112,9 +114,9 @@ pub(crate) static ENTRIES: &[Entry] = &[
     entry("interference", "DES Radix+FFT co-scheduling, station breakdown", GEN_JSON, interference),
     entry("cluster", "2–256 board weak scaling; --cap: max boards", &[Scale, Seed, Cap, Json], cluster)
         .cap_min(CLUSTER_NODES[0]),
-    entry("frontend", "live plane, 1 board; --cap: max conns", &[Cap, Json], live::frontend)
+    entry("frontend", "live plane, 1 board; --cap: max conns", &[Cap, Json], frontend)
         .cap_min(FRONTEND_CONNS[0]),
-    entry("cluster_frontend", "live churn, 2–8 boards; --cap: conns", &[Cap, Json], live::cluster_frontend)
+    entry("cluster_frontend", "live churn, 2–8 boards; --cap: conns", &[Cap, Json], cluster_frontend)
         .cap_min(1),
     entry("stream_scale", "fused 100M-lookup replay; --cap: epochs", &[Scale, Seed, Cap, Json], stream_scale)
         .cap_min(1),
@@ -132,7 +134,7 @@ fn show<T: Display + Serialize>(inv: &Invocation, result: &T) -> Outcome {
 }
 
 /// The points of `axis` at or below `cap` (all of them when uncapped).
-pub(crate) fn capped(axis: &[usize], cap: Option<usize>) -> Vec<usize> {
+fn capped(axis: &[usize], cap: Option<usize>) -> Vec<usize> {
     let cap = cap.unwrap_or(usize::MAX);
     axis.iter().copied().filter(|&x| x <= cap).collect()
 }
@@ -201,6 +203,35 @@ fn cluster(inv: &Invocation) -> Outcome {
     show(inv, &exp::cluster_scaling(&inv.gen, CACHE_ENTRIES, &axis))
 }
 
+/// The live request plane on one board: simulated peers connect, export
+/// buffers, and issue remote stores/fetches that each mechanism translates
+/// on demand — connection churn, credit-window admission, and
+/// per-mechanism throughput / tail latency over a connections × offered-
+/// load grid.
+fn frontend(inv: &Invocation) -> Outcome {
+    let axis = capped(&FRONTEND_CONNS, inv.cap);
+    eprintln!(
+        "frontend: request-plane sweep over {axis:?} connections × 2 loads × 4 mechanisms..."
+    );
+    show(inv, &exp::frontend_load(CACHE_ENTRIES, &axis))
+}
+
+/// A million simulated peers homed over N boards, re-homed by
+/// `Frame::Redirect` when a board's registration SRAM runs out, priced on
+/// the shared host-memory / I/O-bus / interrupt stations — capacity and
+/// tail latency over a boards × homing-policy × mechanism grid.
+fn cluster_frontend(inv: &Invocation) -> Outcome {
+    let connections = inv.cap.unwrap_or(CLUSTER_FRONTEND_CONNS);
+    eprintln!(
+        "cluster_frontend: {connections} connections over {CLUSTER_FRONTEND_NODES:?} boards \
+         × 2 homing policies × 4 mechanisms..."
+    );
+    show(
+        inv,
+        &exp::cluster_frontend(CACHE_ENTRIES, connections, &CLUSTER_FRONTEND_NODES),
+    )
+}
+
 /// Replays a looped workload that is never materialized, then the largest
 /// materialized paper trace as baseline. Run it as its own process: the
 /// peak-RSS reading must reflect the streaming loop, not earlier entries.
@@ -219,12 +250,7 @@ fn stream_scale(inv: &Invocation) -> Outcome {
             result.scale_factor
         ));
     }
-    inv.archive(&result)?;
-    if inv.cap.is_none() {
-        // Only a full-length run updates the archived wall-clock numbers.
-        write_json(Path::new("BENCH_stream.json"), &result)?;
-    }
-    Ok(())
+    inv.archive(&result)
 }
 
 /// Guards the observability layer's zero-overhead claim: a replay with a

@@ -10,7 +10,6 @@ use crate::report::{rate, TextTable};
 use crate::RunOutputExt;
 use crate::{Mechanism, Run, SimConfig, SweepGrid, SweepScratch};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 use utlb_core::Associativity;
 use utlb_trace::{GenConfig, SplashApp};
@@ -85,13 +84,10 @@ pub struct Table8Cell {
 }
 
 /// Table 8: miss rates vs size × associativity.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Table8 {
     /// All cells.
     pub cells: Vec<Table8Cell>,
-    /// `(entries, org, app)` → position in `cells`, built once so the
-    /// `Display` grid and tests don't pay a linear scan per lookup.
-    index: HashMap<(usize, Organization, SplashApp), usize>,
 }
 
 /// Regenerates Table 8 (infinite host memory, no prefetch).
@@ -129,42 +125,15 @@ pub fn table8(cfg: &GenConfig) -> Table8 {
                 miss_rate: r.stats.ni_miss_rate(),
             }
         });
-    Table8::build(cells)
+    Table8 { cells }
 }
 
 impl Table8 {
-    /// Builds the table from its cells, indexing them by coordinates.
-    pub fn build(cells: Vec<Table8Cell>) -> Self {
-        let index = cells
-            .iter()
-            .enumerate()
-            .map(|(ix, c)| ((c.cache_entries, c.organization, c.app), ix))
-            .collect();
-        Table8 { cells, index }
-    }
-
     /// Looks up one cell.
     pub fn cell(&self, entries: usize, org: Organization, app: SplashApp) -> Option<&Table8Cell> {
-        self.index
-            .get(&(entries, org, app))
-            .map(|&ix| &self.cells[ix])
-    }
-}
-
-impl Serialize for Table8 {
-    fn to_value(&self) -> serde::Value {
-        // The index is a derived view; only the cells are archival state.
-        serde::Value::Object(vec![("cells".to_string(), self.cells.to_value())])
-    }
-}
-
-impl Deserialize for Table8 {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::DeError::custom("expected object for Table8"))?;
-        let cells = Vec::from_value(serde::field(obj, "cells", "Table8")?)?;
-        Ok(Table8::build(cells))
+        self.cells
+            .iter()
+            .find(|c| c.cache_entries == entries && c.organization == org && c.app == app)
     }
 }
 

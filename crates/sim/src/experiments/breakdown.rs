@@ -6,7 +6,6 @@ use crate::report::TextTable;
 use crate::RunOutputExt;
 use crate::{Mechanism, Run, SimConfig, SweepGrid, SweepScratch};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 use utlb_trace::{GenConfig, SplashApp};
 
@@ -36,12 +35,10 @@ impl Fig7Bar {
 }
 
 /// Figure 7 data.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Fig7 {
     /// One bar per (app, size).
     pub bars: Vec<Fig7Bar>,
-    /// `(app, entries)` → position in `bars`.
-    index: HashMap<(SplashApp, usize), usize>,
 }
 
 /// Regenerates Figure 7 (infinite host memory, direct-mapped with
@@ -76,40 +73,15 @@ pub fn fig7(cfg: &GenConfig) -> Fig7 {
                 conflict_pct: conf * 100.0,
             }
         });
-    Fig7::build(bars)
+    Fig7 { bars }
 }
 
 impl Fig7 {
-    /// Builds the figure from its bars, indexing them by coordinates.
-    pub fn build(bars: Vec<Fig7Bar>) -> Self {
-        let index = bars
-            .iter()
-            .enumerate()
-            .map(|(ix, b)| ((b.app, b.cache_entries), ix))
-            .collect();
-        Fig7 { bars, index }
-    }
-
     /// The bar for (`app`, `entries`), if present.
     pub fn bar(&self, app: SplashApp, entries: usize) -> Option<&Fig7Bar> {
-        self.index.get(&(app, entries)).map(|&ix| &self.bars[ix])
-    }
-}
-
-impl Serialize for Fig7 {
-    fn to_value(&self) -> serde::Value {
-        // The index is a derived view; only the bars are archival state.
-        serde::Value::Object(vec![("bars".to_string(), self.bars.to_value())])
-    }
-}
-
-impl Deserialize for Fig7 {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::DeError::custom("expected object for Fig7"))?;
-        let bars = Vec::from_value(serde::field(obj, "bars", "Fig7")?)?;
-        Ok(Fig7::build(bars))
+        self.bars
+            .iter()
+            .find(|b| b.app == app && b.cache_entries == entries)
     }
 }
 

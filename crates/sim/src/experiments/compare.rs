@@ -10,7 +10,6 @@ use crate::report::{micros, rate, TextTable};
 use crate::RunOutputExt;
 use crate::{Mechanism, Run, SimConfig, SweepGrid, SweepScratch};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 use utlb_trace::{GenConfig, SplashApp};
 
@@ -34,14 +33,12 @@ pub struct CompareCell {
 }
 
 /// Tables 4 and 5 share this shape; `mem_limit_mb` distinguishes them.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Table45 {
     /// Per-process memory limit in MB (`None` = Table 4's infinite memory).
     pub mem_limit_mb: Option<u64>,
     /// One cell per (cache size, app).
     pub cells: Vec<CompareCell>,
-    /// `(app, entries)` → position in `cells`.
-    index: HashMap<(SplashApp, usize), usize>,
 }
 
 fn compare(cfg: &GenConfig, mem_limit_mb: Option<u64>) -> Table45 {
@@ -92,7 +89,10 @@ fn compare(cfg: &GenConfig, mem_limit_mb: Option<u64>) -> Table45 {
                 intr_unpins: i.stats.unpin_rate(),
             }
         });
-    Table45::build(mem_limit_mb, cells)
+    Table45 {
+        mem_limit_mb,
+        cells,
+    }
 }
 
 /// Regenerates Table 4 (infinite host memory).
@@ -106,44 +106,11 @@ pub fn table5(cfg: &GenConfig) -> Table45 {
 }
 
 impl Table45 {
-    /// Builds the table from its cells, indexing them by coordinates.
-    pub fn build(mem_limit_mb: Option<u64>, cells: Vec<CompareCell>) -> Self {
-        let index = cells
-            .iter()
-            .enumerate()
-            .map(|(ix, c)| ((c.app, c.cache_entries), ix))
-            .collect();
-        Table45 {
-            mem_limit_mb,
-            cells,
-            index,
-        }
-    }
-
     /// The cell for (`app`, `entries`), if simulated.
     pub fn cell(&self, app: SplashApp, entries: usize) -> Option<&CompareCell> {
-        self.index.get(&(app, entries)).map(|&ix| &self.cells[ix])
-    }
-}
-
-impl Serialize for Table45 {
-    fn to_value(&self) -> serde::Value {
-        // The index is a derived view; only limit + cells are archival.
-        serde::Value::Object(vec![
-            ("mem_limit_mb".to_string(), self.mem_limit_mb.to_value()),
-            ("cells".to_string(), self.cells.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Table45 {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::DeError::custom("expected object for Table45"))?;
-        let mem_limit_mb = Option::from_value(serde::field(obj, "mem_limit_mb", "Table45")?)?;
-        let cells = Vec::from_value(serde::field(obj, "cells", "Table45")?)?;
-        Ok(Table45::build(mem_limit_mb, cells))
+        self.cells
+            .iter()
+            .find(|c| c.app == app && c.cache_entries == entries)
     }
 }
 

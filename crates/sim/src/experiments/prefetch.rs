@@ -12,7 +12,6 @@ use crate::report::{micros, rate, TextTable};
 use crate::RunOutputExt;
 use crate::{Mechanism, Run, SimConfig, SweepGrid, SweepScratch};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 use utlb_trace::{gen, GenConfig, SplashApp};
 
@@ -36,12 +35,10 @@ pub struct Fig8Point {
 }
 
 /// Figure 8 data (the Radix application).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Fig8 {
     /// All points.
     pub points: Vec<Fig8Point>,
-    /// `(entries, prefetch)` → position in `points`.
-    index: HashMap<(usize, u64), usize>,
 }
 
 /// Regenerates Figure 8 (Radix, infinite host memory, direct-mapped cache).
@@ -84,42 +81,15 @@ pub fn fig8(cfg: &GenConfig) -> Fig8 {
                 lookup_us: r.utlb_lookup_cost(&sim),
             }
         });
-    Fig8::build(points)
+    Fig8 { points }
 }
 
 impl Fig8 {
-    /// Builds the figure from its points, indexing them by coordinates.
-    pub fn build(points: Vec<Fig8Point>) -> Self {
-        let index = points
-            .iter()
-            .enumerate()
-            .map(|(ix, p)| ((p.cache_entries, p.prefetch), ix))
-            .collect();
-        Fig8 { points, index }
-    }
-
     /// The point for (`entries`, `prefetch`), if present.
     pub fn point(&self, entries: usize, prefetch: u64) -> Option<&Fig8Point> {
-        self.index
-            .get(&(entries, prefetch))
-            .map(|&ix| &self.points[ix])
-    }
-}
-
-impl Serialize for Fig8 {
-    fn to_value(&self) -> serde::Value {
-        // The index is a derived view; only the points are archival state.
-        serde::Value::Object(vec![("points".to_string(), self.points.to_value())])
-    }
-}
-
-impl Deserialize for Fig8 {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::DeError::custom("expected object for Fig8"))?;
-        let points = Vec::from_value(serde::field(obj, "points", "Fig8")?)?;
-        Ok(Fig8::build(points))
+        self.points
+            .iter()
+            .find(|p| p.cache_entries == entries && p.prefetch == prefetch)
     }
 }
 

@@ -13,7 +13,6 @@ use crate::report::{micros, TextTable};
 use crate::RunOutputExt;
 use crate::{Mechanism, Run, SimConfig, SweepGrid, SweepScratch};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 use utlb_trace::{gen, GenConfig, SplashApp, Trace};
 
@@ -46,14 +45,12 @@ pub struct PrepinCell {
 }
 
 /// Table 7: amortized pinning/unpinning, 1-page vs 16-page prepinning.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Table7 {
     /// Memory limit used (pages per process).
     pub mem_limit_pages: u64,
     /// All cells.
     pub cells: Vec<PrepinCell>,
-    /// `(app, prepin)` → position in `cells`.
-    index: HashMap<(SplashApp, u64), usize>,
 }
 
 fn measure(
@@ -116,51 +113,18 @@ pub fn table7(cfg: &GenConfig) -> Table7 {
             let (app, ref trace) = traces[tix];
             measure(app, trace, prepin, limit_pages, scratch)
         });
-    Table7::build(limit_pages, cells)
+    Table7 {
+        mem_limit_pages: limit_pages,
+        cells,
+    }
 }
 
 impl Table7 {
-    /// Builds the table from its cells, indexing them by coordinates.
-    pub fn build(mem_limit_pages: u64, cells: Vec<PrepinCell>) -> Self {
-        let index = cells
-            .iter()
-            .enumerate()
-            .map(|(ix, c)| ((c.app, c.prepin), ix))
-            .collect();
-        Table7 {
-            mem_limit_pages,
-            cells,
-            index,
-        }
-    }
-
     /// The cell for (`app`, `prepin`), if present.
     pub fn cell(&self, app: SplashApp, prepin: u64) -> Option<&PrepinCell> {
-        self.index.get(&(app, prepin)).map(|&ix| &self.cells[ix])
-    }
-}
-
-impl Serialize for Table7 {
-    fn to_value(&self) -> serde::Value {
-        // The index is a derived view; only limit + cells are archival.
-        serde::Value::Object(vec![
-            (
-                "mem_limit_pages".to_string(),
-                self.mem_limit_pages.to_value(),
-            ),
-            ("cells".to_string(), self.cells.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Table7 {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| serde::DeError::custom("expected object for Table7"))?;
-        let mem_limit_pages = u64::from_value(serde::field(obj, "mem_limit_pages", "Table7")?)?;
-        let cells = Vec::from_value(serde::field(obj, "cells", "Table7")?)?;
-        Ok(Table7::build(mem_limit_pages, cells))
+        self.cells
+            .iter()
+            .find(|c| c.app == app && c.prepin == prepin)
     }
 }
 

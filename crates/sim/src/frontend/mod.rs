@@ -117,27 +117,33 @@ impl Default for FrontendConfig {
 impl FrontendConfig {
     /// Checks the shape can run at all.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a zero connection/window/request count or a payload
-    /// larger than the exported buffer — every one of those silently
-    /// degenerates the workload, which a study config must not do.
-    pub fn validate(&self) {
-        assert!(
-            self.connections > 0,
-            "frontend needs at least one connection"
-        );
-        assert!(self.open_window > 0, "open window must admit a connection");
-        assert!(
-            self.requests_per_conn > 0,
-            "connections must issue requests"
-        );
-        assert!(self.credit_window > 0, "credit window needs a credit");
-        assert!(self.payload_bytes > 0, "zero-byte payloads carry nothing");
-        assert!(
-            self.buffer_pages * PAGE_SIZE >= self.payload_bytes,
-            "payload must fit the exported buffer"
-        );
+    /// Rejects a zero connection/window/request count or a payload larger
+    /// than the exported buffer — every one of those silently degenerates
+    /// the workload, which a study config must not do.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        let checks = [
+            (
+                self.connections > 0,
+                "frontend needs at least one connection",
+            ),
+            (self.open_window > 0, "open window must admit a connection"),
+            (
+                self.requests_per_conn > 0,
+                "connections must issue requests",
+            ),
+            (self.credit_window > 0, "credit window needs a credit"),
+            (self.payload_bytes > 0, "zero-byte payloads carry nothing"),
+            (
+                self.buffer_pages * PAGE_SIZE >= self.payload_bytes,
+                "payload must fit the exported buffer",
+            ),
+        ];
+        match checks.iter().find(|(ok, _)| !ok) {
+            Some(&(_, msg)) => Err(msg),
+            None => Ok(()),
+        }
     }
 
     /// Total requests the run offers if no connection is refused.
@@ -222,11 +228,14 @@ impl FrontendResult {
 ///
 /// # Panics
 ///
-/// Panics if `connections > open_window`: connections beyond the window
-/// open mid-run at times only the reactor knows, so no arrival-time trace
-/// exists for them.
+/// Panics on a shape [`FrontendConfig::validate`] rejects, or if
+/// `connections > open_window`: connections beyond the window open mid-run
+/// at times only the reactor knows, so no arrival-time trace exists for
+/// them.
 pub fn frontend_trace(fcfg: &FrontendConfig) -> Trace {
-    fcfg.validate();
+    if let Err(msg) = fcfg.validate() {
+        panic!("{msg}");
+    }
     assert!(
         fcfg.connections <= fcfg.open_window,
         "a materialized frontend trace needs every connection open from time zero"
@@ -344,13 +353,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "payload must fit")]
-    fn oversized_payloads_panic() {
-        FrontendConfig {
+    fn oversized_payloads_are_rejected() {
+        let oversized = FrontendConfig {
             payload_bytes: PAGE_SIZE * 3,
             buffer_pages: 2,
             ..tiny()
-        }
-        .validate();
+        };
+        assert_eq!(
+            oversized.validate(),
+            Err("payload must fit the exported buffer")
+        );
+        assert_eq!(tiny().validate(), Ok(()));
     }
 }

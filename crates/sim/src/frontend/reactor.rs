@@ -136,7 +136,7 @@ pub(crate) fn run_reactor<M: TranslationMechanism + ?Sized>(
     drv: &mut ClusterDriver<'_, '_, M>,
     fcfg: &FrontendConfig,
 ) -> ReactorCounts {
-    fcfg.validate();
+    // `Run::check` has already rejected every shape `validate` refuses.
     let mut wire = [0u8; FRAME_BYTES];
 
     let mut offered = 0u64;

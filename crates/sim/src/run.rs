@@ -213,8 +213,9 @@ impl Run {
     ///
     /// Returns a [`RunError`] on builder misuse: no mechanism
     /// ([`Run::with_config`] runs need [`execute_with`](Run::execute_with)),
-    /// an incompatible option combination, or an input shape the configured
-    /// run cannot consume.
+    /// an incompatible option combination, a frontend shape
+    /// [`FrontendConfig::validate`] rejects, or an input shape the
+    /// configured run cannot consume.
     ///
     /// # Panics
     ///
@@ -319,6 +320,9 @@ impl Run {
     /// Rejects option combinations no input can satisfy, before any work.
     fn check(&self) -> Result<(), RunError> {
         let reject = |msg| Err(RunError::IncompatibleConfig(msg));
+        if let Some(f) = &self.frontend {
+            f.validate().map_err(RunError::IncompatibleConfig)?;
+        }
         let Some(c) = &self.cluster else {
             if self.frontend.is_some() && self.des.is_some() {
                 return reject(
@@ -993,6 +997,22 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, RunError::IncompatibleConfig(_)), "{err}");
         assert!(err.to_string().contains(".homing(policy)"), "{err}");
+    }
+
+    #[test]
+    fn a_degenerate_frontend_shape_is_a_typed_error() {
+        let err = Run::new(Mechanism::Utlb)
+            .config(&SimConfig::study(64))
+            .frontend(FrontendConfig {
+                connections: 0,
+                ..FrontendConfig::default()
+            })
+            .execute(Live)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RunError::IncompatibleConfig("frontend needs at least one connection")
+        );
     }
 
     #[test]

@@ -6,6 +6,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every step below must leave the working tree as it found it: an entry or
+# bench that writes a stray file fails the run at the end.
+start_status=$(git status --porcelain)
+
 # Runs `cargo test -q --offline ARGS` and fails when its name filter
 # matched no test at all: cargo exits 0 on an empty match, which would let
 # a renamed module silently drop its gate.
@@ -161,13 +165,18 @@ cargo bench -q --offline -p utlb-bench --bench cluster_frontend -- --test
 echo "== DES: replay overhead bench"
 cargo bench -q --offline -p utlb-bench --bench des_replay
 
-echo "== streaming: fused-vs-materialized replay bench smoke"
-cargo bench -q --offline -p utlb-bench --bench stream_replay -- --test
-
 echo "== criterion smoke: batched-vs-scalar replay benches compile and run"
 cargo bench -q --offline -p utlb-bench --bench sweep -- --test
 
 echo "== docs build clean"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline --workspace
+
+echo "== working tree unchanged by the run"
+end_status=$(git status --porcelain)
+if [ "$end_status" != "$start_status" ]; then
+    echo "ci: the run changed the working tree:" >&2
+    diff <(printf '%s\n' "$start_status") <(printf '%s\n' "$end_status") >&2 || true
+    exit 1
+fi
 
 echo "CI green."
