@@ -20,8 +20,7 @@ use crate::{
     CacheConfig, CacheStats, CostModel, HierTable, LookupBatch, OutcomeBuf, PinBitVector, Policy,
     Result, SharedUtlbCache, TranslationMechanism, UtlbError,
 };
-use std::collections::HashMap;
-use utlb_mem::{Host, PhysAddr, ProcessId, VirtAddr, VirtPage};
+use utlb_mem::{Host, IntMap, PhysAddr, ProcessId, VirtAddr, VirtPage};
 use utlb_nic::{Board, Nanos};
 
 /// Configuration of a [`UtlbEngine`].
@@ -277,7 +276,7 @@ impl ProcState {
 pub struct UtlbEngine {
     cfg: UtlbConfig,
     cache: SharedUtlbCache,
-    procs: HashMap<ProcessId, ProcState>,
+    procs: IntMap<ProcessId, ProcState>,
     probe: ProbeSlot,
 }
 
@@ -306,7 +305,7 @@ impl UtlbEngine {
         Ok(UtlbEngine {
             cfg,
             cache,
-            procs: HashMap::new(),
+            procs: IntMap::default(),
             probe: ProbeSlot::detached(),
         })
     }

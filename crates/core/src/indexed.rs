@@ -22,8 +22,7 @@ use crate::{
     CacheConfig, CacheStats, CostModel, LookupBatch, OutcomeBuf, PageOutcome, Result,
     SharedUtlbCache, TranslationMechanism, UtlbError,
 };
-use std::collections::HashMap;
-use utlb_mem::{FrameId, Host, PhysAddr, ProcessId, VirtPage, PAGE_SIZE};
+use utlb_mem::{FrameId, Host, IntMap, PhysAddr, ProcessId, VirtPage, PAGE_SIZE};
 use utlb_nic::{Board, Nanos};
 
 /// Configuration of an [`IndexedEngine`].
@@ -59,7 +58,7 @@ struct ProcState {
     table_frames: Vec<FrameId>,
     tree: UserLookupTree,
     /// Which vpn occupies each slot (for eviction bookkeeping).
-    slot_owner: HashMap<u32, VirtPage>,
+    slot_owner: IntMap<u32, VirtPage>,
     free: Vec<u32>,
     core: PinCore,
 }
@@ -69,7 +68,7 @@ struct ProcState {
 pub struct IndexedEngine {
     cfg: IndexedConfig,
     cache: SharedUtlbCache,
-    procs: HashMap<ProcessId, ProcState>,
+    procs: IntMap<ProcessId, ProcState>,
     probe: ProbeSlot,
 }
 
@@ -82,7 +81,7 @@ impl IndexedEngine {
         IndexedEngine {
             cfg,
             cache,
-            procs: HashMap::new(),
+            procs: IntMap::default(),
             probe: ProbeSlot::detached(),
         }
     }
@@ -283,10 +282,7 @@ impl TranslationMechanism for IndexedEngine {
         let mut table_frames = Vec::with_capacity(frames_needed);
         for _ in 0..frames_needed {
             let f = host.physical_mut().alloc_frame()?;
-            for i in 0..ENTRIES_PER_FRAME {
-                host.physical_mut()
-                    .write_u64(f.base().offset(i as u64 * 8), garbage.raw())?;
-            }
+            host.physical_mut().fill_u64(f, garbage.raw())?;
             table_frames.push(f);
         }
         self.procs.insert(
@@ -294,7 +290,7 @@ impl TranslationMechanism for IndexedEngine {
             ProcState {
                 table_frames,
                 tree: UserLookupTree::new(),
-                slot_owner: HashMap::new(),
+                slot_owner: IntMap::default(),
                 free: (0..self.cfg.table_entries as u32).rev().collect(),
                 core: PinCore::new(self.cfg.policy, self.cfg.seed, pid),
             },
@@ -441,6 +437,42 @@ mod tests {
         let pid = host.spawn_process();
         engine.register_process(&mut host, &mut board, pid).unwrap();
         (host, board, engine, pid)
+    }
+
+    #[test]
+    fn register_fills_every_table_word_with_the_garbage_address() {
+        // 1000 entries need two frames, the second only partly used; the
+        // unused tail must read as garbage too.
+        for entries in [ENTRIES_PER_FRAME, 1000, 3 * ENTRIES_PER_FRAME + 7] {
+            let mut host = Host::new(1 << 14);
+            let mut board = Board::new();
+            let mut engine = IndexedEngine::new(IndexedConfig {
+                table_entries: entries,
+                ..IndexedConfig::default()
+            });
+            let pid = host.spawn_process();
+            // The garbage page is frame 0, whose address reads like
+            // unwritten memory: dirty the frames the table will get, so
+            // only a full fill reads back as garbage.
+            let frames_needed = entries.div_ceil(ENTRIES_PER_FRAME);
+            let next = host.physical().allocator().allocated_frames();
+            let dirty = vec![0xA5u8; frames_needed * PAGE_SIZE as usize];
+            host.physical_mut()
+                .write(FrameId::new(next).base(), &dirty)
+                .unwrap();
+            engine.register_process(&mut host, &mut board, pid).unwrap();
+
+            let garbage = host.driver().garbage_addr().raw();
+            let frames = &engine.procs[&pid].table_frames;
+            assert_eq!(frames.len(), frames_needed);
+            assert_eq!(frames[0], FrameId::new(next), "the dirtied frames");
+            for f in frames {
+                for i in 0..ENTRIES_PER_FRAME as u64 {
+                    let word = host.physical().read_u64(f.base().offset(i * 8));
+                    assert_eq!(word.unwrap(), garbage, "{entries} entries, {f} word {i}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,8 +18,7 @@ use crate::{
     CacheConfig, CacheStats, CostModel, LookupBatch, OutcomeBuf, PageOutcome, Result,
     SharedUtlbCache, TranslationMechanism, UtlbError,
 };
-use std::collections::HashMap;
-use utlb_mem::{Host, ProcessId, VirtPage};
+use utlb_mem::{Host, IntMap, ProcessId, VirtPage};
 use utlb_nic::{Board, Nanos};
 
 /// Configuration of an [`IntrEngine`].
@@ -55,7 +54,7 @@ impl Default for IntrConfig {
 pub struct IntrEngine {
     cfg: IntrConfig,
     cache: SharedUtlbCache,
-    procs: HashMap<ProcessId, PinCore>,
+    procs: IntMap<ProcessId, PinCore>,
     probe: ProbeSlot,
 }
 
@@ -66,7 +65,7 @@ impl IntrEngine {
         IntrEngine {
             cfg,
             cache,
-            procs: HashMap::new(),
+            procs: IntMap::default(),
             probe: ProbeSlot::detached(),
         }
     }

@@ -6,8 +6,7 @@
 //! references are required to obtain the UTLB index for a given virtual page
 //! address."
 
-use std::collections::HashMap;
-use utlb_mem::VirtPage;
+use utlb_mem::{IntMap, VirtPage};
 
 /// An index into the per-process UTLB translation table on the NIC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -20,7 +19,7 @@ const LEAF_ENTRIES: u64 = 1024;
 /// The two-level user-level lookup tree: virtual page → UTLB table index.
 #[derive(Debug, Default)]
 pub struct UserLookupTree {
-    directory: HashMap<u64, Box<[Option<UtlbIndex>]>>,
+    directory: IntMap<u64, Box<[Option<UtlbIndex>]>>,
     entries: u64,
 }
 

@@ -18,8 +18,7 @@ use crate::{
     CacheStats, CostModel, LookupBatch, OutcomeBuf, PageOutcome, Result, TranslationMechanism,
     UtlbError,
 };
-use std::collections::HashMap;
-use utlb_mem::{Host, ProcessId, VirtPage};
+use utlb_mem::{Host, IntMap, ProcessId, VirtPage};
 use utlb_nic::{Board, Nanos};
 
 /// Configuration of a [`PerProcessEngine`].
@@ -58,7 +57,7 @@ struct ProcState {
 #[derive(Debug)]
 pub struct PerProcessEngine {
     cfg: PerProcessConfig,
-    procs: HashMap<ProcessId, ProcState>,
+    procs: IntMap<ProcessId, ProcState>,
     probe: ProbeSlot,
 }
 
@@ -67,7 +66,7 @@ impl PerProcessEngine {
     pub fn new(cfg: PerProcessConfig) -> Self {
         PerProcessEngine {
             cfg,
-            procs: HashMap::new(),
+            procs: IntMap::default(),
             probe: ProbeSlot::detached(),
         }
     }

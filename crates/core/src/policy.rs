@@ -11,9 +11,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::fmt;
-use utlb_mem::VirtPage;
+use utlb_mem::{IntMap, VirtPage};
 
 /// Which predefined replacement policy to use (paper §3.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -77,7 +77,7 @@ type LruEntry = Reverse<(u64, u64)>;
 /// application chose.
 #[derive(Debug)]
 pub struct PinnedSet {
-    pages: HashMap<u64, PageMeta>,
+    pages: IntMap<u64, PageMeta>,
     policy: Policy,
     tick: u64,
     rng: StdRng,
@@ -95,7 +95,7 @@ impl PinnedSet {
     /// the RANDOM policy.
     pub fn new(policy: Policy, seed: u64) -> Self {
         PinnedSet {
-            pages: HashMap::new(),
+            pages: IntMap::default(),
             policy,
             tick: 0,
             rng: StdRng::seed_from_u64(seed),
@@ -197,7 +197,7 @@ impl PinnedSet {
     }
 
     /// One live entry per tracked page, keyed by its current `last_use`.
-    fn build_lru(pages: &mut HashMap<u64, PageMeta>) -> BinaryHeap<LruEntry> {
+    fn build_lru(pages: &mut IntMap<u64, PageMeta>) -> BinaryHeap<LruEntry> {
         pages
             .iter_mut()
             .map(|(&p, m)| {

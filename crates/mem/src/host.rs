@@ -294,7 +294,9 @@ mod tests {
         let pid = host.spawn_process();
         host.driver_pin(pid, VirtPage::new(0), 3).unwrap();
         assert_eq!(host.physical().allocator().free_frames(), 0);
+        assert_eq!(host.driver().pins().total_pinned_pages(), 3);
         host.kill_process(pid).unwrap();
+        assert_eq!(host.driver().pins().total_pinned_pages(), 0);
         assert_eq!(host.physical().allocator().free_frames(), 3);
         let pid2 = host.spawn_process();
         assert!(host.driver_pin(pid2, VirtPage::new(0), 3).is_ok());

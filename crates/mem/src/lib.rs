@@ -19,7 +19,9 @@
 //!   the pinned "garbage page" used to make stale translation-table entries
 //!   harmless, and unpin calls,
 //! * [`SwapDevice`] — a tiny block store used to model paging out second-level
-//!   UTLB translation tables (paper §3.3).
+//!   UTLB translation tables (paper §3.3),
+//! * [`IntMap`] — a `HashMap` over a multiply-rotate hasher for the
+//!   simulator's integer-keyed hot maps.
 //!
 //! # Example
 //!
@@ -47,6 +49,7 @@ mod addr;
 mod driver;
 mod error;
 mod frame;
+mod hash;
 mod host;
 mod phys;
 mod pin;
@@ -58,6 +61,7 @@ pub use addr::{PhysAddr, VirtAddr, VirtPage, PAGE_SHIFT, PAGE_SIZE};
 pub use driver::{HostDriver, PinnedPage};
 pub use error::MemError;
 pub use frame::{FrameAllocator, FrameId};
+pub use hash::{IntBuildHasher, IntHasher, IntMap};
 pub use host::Host;
 pub use phys::PhysicalMemory;
 pub use pin::{PinRegistry, PinStats};

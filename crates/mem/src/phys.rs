@@ -1,7 +1,6 @@
 //! Byte-addressable simulated physical memory.
 
 use crate::{FrameAllocator, FrameId, MemError, PhysAddr, Result, PAGE_SIZE};
-use std::collections::HashMap;
 
 /// Simulated host DRAM.
 ///
@@ -9,10 +8,16 @@ use std::collections::HashMap;
 /// gigabytes of simulated DRAM costs almost nothing until data is actually
 /// placed in it. Reads of frames that were never written observe zeros, like
 /// demand-zero memory on a real OS.
+///
+/// Frame bytes live in a vector indexed by frame number. The allocator hands
+/// frames out lowest-first, so the vector is only as long as the highest
+/// frame ever written, and reaching a frame costs one index rather than a
+/// hash probe.
 #[derive(Debug)]
 pub struct PhysicalMemory {
     allocator: FrameAllocator,
-    data: HashMap<u64, Box<[u8]>>,
+    data: Vec<Option<Box<[u8]>>>,
+    resident: usize,
 }
 
 impl PhysicalMemory {
@@ -20,7 +25,8 @@ impl PhysicalMemory {
     pub fn new(total_frames: u64) -> Self {
         PhysicalMemory {
             allocator: FrameAllocator::new(total_frames),
-            data: HashMap::new(),
+            data: Vec::new(),
+            resident: 0,
         }
     }
 
@@ -40,8 +46,31 @@ impl PhysicalMemory {
 
     /// Frees one frame, dropping its contents.
     pub fn free_frame(&mut self, frame: FrameId) {
-        self.data.remove(&frame.number());
+        if let Some(slot) = self.data.get_mut(frame.number() as usize) {
+            if slot.take().is_some() {
+                self.resident -= 1;
+            }
+        }
         self.allocator.free(frame);
+    }
+
+    /// The stored bytes of frame `number`, if it was ever written.
+    fn frame(&self, number: u64) -> Option<&[u8]> {
+        self.data.get(number as usize)?.as_deref()
+    }
+
+    /// The stored bytes of frame `number`, materialized as zeros first if
+    /// it was never written. The caller has range-checked `number`.
+    fn frame_mut(&mut self, number: u64) -> &mut [u8] {
+        let ix = number as usize;
+        if ix >= self.data.len() {
+            self.data.resize_with(ix + 1, || None);
+        }
+        let slot = &mut self.data[ix];
+        if slot.is_none() {
+            self.resident += 1;
+        }
+        slot.get_or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice())
     }
 
     /// Total size in bytes.
@@ -72,7 +101,7 @@ impl PhysicalMemory {
             let frame = cursor / PAGE_SIZE;
             let off = (cursor % PAGE_SIZE) as usize;
             let chunk = ((PAGE_SIZE as usize) - off).min(buf.len() - filled);
-            match self.data.get(&frame) {
+            match self.frame(frame) {
                 Some(bytes) => {
                     buf[filled..filled + chunk].copy_from_slice(&bytes[off..off + chunk])
                 }
@@ -97,10 +126,7 @@ impl PhysicalMemory {
             let frame = cursor / PAGE_SIZE;
             let off = (cursor % PAGE_SIZE) as usize;
             let chunk = ((PAGE_SIZE as usize) - off).min(buf.len() - consumed);
-            let bytes = self
-                .data
-                .entry(frame)
-                .or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
+            let bytes = self.frame_mut(frame);
             bytes[off..off + chunk].copy_from_slice(&buf[consumed..consumed + chunk]);
             consumed += chunk;
             cursor += chunk as u64;
@@ -128,9 +154,25 @@ impl PhysicalMemory {
         self.write(addr, &value.to_le_bytes())
     }
 
+    /// Fills every word of `frame` with the little-endian `value` — one
+    /// call in place of `PAGE_SIZE / 8` [`write_u64`](Self::write_u64)s,
+    /// as when a translation table is initialized with the garbage address.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::PhysOutOfRange`] if the frame exceeds DRAM.
+    pub fn fill_u64(&mut self, frame: FrameId, value: u64) -> Result<()> {
+        self.check_range(frame.base(), PAGE_SIZE as usize)?;
+        let word = value.to_le_bytes();
+        for chunk in self.frame_mut(frame.number()).chunks_exact_mut(8) {
+            chunk.copy_from_slice(&word);
+        }
+        Ok(())
+    }
+
     /// Number of frames whose storage has been materialized.
     pub fn resident_frames(&self) -> usize {
-        self.data.len()
+        self.resident
     }
 }
 
@@ -187,6 +229,24 @@ mod tests {
     }
 
     #[test]
+    fn fill_u64_sets_every_word_of_one_frame() {
+        let mut mem = PhysicalMemory::new(4);
+        let f = FrameId::new(2);
+        mem.fill_u64(f, 0x1234_5678_9ABC_DEF0).unwrap();
+        for i in 0..PAGE_SIZE / 8 {
+            let addr = f.base().offset(i * 8);
+            assert_eq!(mem.read_u64(addr).unwrap(), 0x1234_5678_9ABC_DEF0);
+        }
+        assert_eq!(mem.read_u64(FrameId::new(1).base()).unwrap(), 0);
+        assert_eq!(mem.read_u64(FrameId::new(3).base()).unwrap(), 0);
+        assert_eq!(mem.resident_frames(), 1);
+        assert!(matches!(
+            mem.fill_u64(FrameId::new(4), 1),
+            Err(MemError::PhysOutOfRange { .. })
+        ));
+    }
+
+    #[test]
     fn freeing_frame_drops_contents() {
         let mut mem = PhysicalMemory::new(4);
         let f = mem.alloc_frame().unwrap();
@@ -194,6 +254,7 @@ mod tests {
         mem.free_frame(f);
         let f2 = mem.alloc_frame().unwrap();
         assert_eq!(f, f2, "lowest frame is reused");
+        assert_eq!(mem.resident_frames(), 0);
         let mut b = [0xFFu8; 1];
         mem.read(f2.base(), &mut b).unwrap();
         assert_eq!(b[0], 0, "recycled frame reads as zero");

@@ -6,8 +6,8 @@
 //! implements the static per-process limit used throughout the evaluation
 //! (Tables 5 and 7 run with 4 MB and 16 MB limits respectively).
 
-use crate::{MemError, ProcessId, Result, VirtPage};
-use std::collections::HashMap;
+use crate::{IntMap, MemError, ProcessId, Result, VirtPage};
+use std::collections::hash_map::Entry;
 
 /// Aggregate pin/unpin activity counters, used by the cost model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -22,16 +22,22 @@ pub struct PinStats {
     pub unpin_calls: u64,
 }
 
+/// One process' pins: the reference count of each pinned page, and the
+/// process' pinned-page limit.
+#[derive(Debug, Default)]
+struct ProcessPins {
+    counts: IntMap<u64, u32>,
+    limit: Option<u64>,
+}
+
 /// Tracks which virtual pages of which processes are pinned.
 ///
 /// Pins are reference counted: both the send path and an outstanding DMA may
 /// hold a page, and the page may be unpinned only after every holder releases
-/// it.
+/// it. State is kept per process, so process exit drops it in one step.
 #[derive(Debug, Default)]
 pub struct PinRegistry {
-    counts: HashMap<(ProcessId, u64), u32>,
-    per_process: HashMap<ProcessId, u64>,
-    limits: HashMap<ProcessId, u64>,
+    procs: IntMap<ProcessId, ProcessPins>,
     stats: PinStats,
 }
 
@@ -44,40 +50,49 @@ impl PinRegistry {
     /// Sets a pinned-page limit for `pid`. `None` removes the limit.
     pub fn set_limit(&mut self, pid: ProcessId, limit_pages: Option<u64>) {
         match limit_pages {
-            Some(l) => {
-                self.limits.insert(pid, l);
-            }
+            Some(_) => self.procs.entry(pid).or_default().limit = limit_pages,
             None => {
-                self.limits.remove(&pid);
+                if let Some(pins) = self.procs.get_mut(&pid) {
+                    pins.limit = None;
+                }
             }
         }
     }
 
     /// The pinned-page limit for `pid`, if any.
     pub fn limit(&self, pid: ProcessId) -> Option<u64> {
-        self.limits.get(&pid).copied()
+        self.procs.get(&pid).and_then(|p| p.limit)
     }
 
     /// Number of distinct pages currently pinned by `pid`.
     pub fn pinned_pages(&self, pid: ProcessId) -> u64 {
-        self.per_process.get(&pid).copied().unwrap_or(0)
+        self.procs.get(&pid).map_or(0, |p| p.counts.len() as u64)
+    }
+
+    /// Number of distinct pages currently pinned, over every process.
+    pub fn total_pinned_pages(&self) -> u64 {
+        self.procs.values().map(|p| p.counts.len() as u64).sum()
     }
 
     /// Whether `page` of `pid` is currently pinned.
     pub fn is_pinned(&self, pid: ProcessId, page: VirtPage) -> bool {
-        self.counts.contains_key(&(pid, page.number()))
+        self.pin_count(pid, page) > 0
     }
 
     /// Current pin reference count of `page`.
     pub fn pin_count(&self, pid: ProcessId, page: VirtPage) -> u32 {
-        self.counts.get(&(pid, page.number())).copied().unwrap_or(0)
+        self.procs
+            .get(&pid)
+            .and_then(|p| p.counts.get(&page.number()))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Whether `pid` can pin `extra` more *new* pages without violating its
     /// limit.
     pub fn can_pin(&self, pid: ProcessId, extra: u64) -> bool {
-        match self.limits.get(&pid) {
-            Some(limit) => self.pinned_pages(pid) + extra <= *limit,
+        match self.limit(pid) {
+            Some(limit) => self.pinned_pages(pid) + extra <= limit,
             None => true,
         }
     }
@@ -90,18 +105,16 @@ impl PinRegistry {
     /// exceed the process limit; re-pinning an already-pinned page never
     /// fails.
     pub fn pin(&mut self, pid: ProcessId, page: VirtPage) -> Result<()> {
-        let key = (pid, page.number());
-        if let Some(cnt) = self.counts.get_mut(&key) {
-            *cnt += 1;
-        } else {
-            if !self.can_pin(pid, 1) {
-                return Err(MemError::PinLimitExceeded {
-                    pid,
-                    limit_pages: self.limits[&pid],
-                });
+        let pins = self.procs.entry(pid).or_default();
+        let held = pins.counts.len() as u64;
+        match pins.counts.entry(page.number()) {
+            Entry::Occupied(mut cnt) => *cnt.get_mut() += 1,
+            Entry::Vacant(slot) => {
+                if let Some(limit_pages) = pins.limit.filter(|&l| held >= l) {
+                    return Err(MemError::PinLimitExceeded { pid, limit_pages });
+                }
+                slot.insert(1);
             }
-            self.counts.insert(key, 1);
-            *self.per_process.entry(pid).or_insert(0) += 1;
         }
         self.stats.pin_ops += 1;
         Ok(())
@@ -113,20 +126,16 @@ impl PinRegistry {
     ///
     /// Returns [`MemError::NotPinned`] if the page has no outstanding pin.
     pub fn unpin(&mut self, pid: ProcessId, page: VirtPage) -> Result<()> {
-        let key = (pid, page.number());
-        match self.counts.get_mut(&key) {
-            Some(cnt) if *cnt > 1 => {
-                *cnt -= 1;
+        let entry = self
+            .procs
+            .get_mut(&pid)
+            .map(|p| p.counts.entry(page.number()));
+        match entry {
+            Some(Entry::Occupied(mut cnt)) if *cnt.get() > 1 => *cnt.get_mut() -= 1,
+            Some(Entry::Occupied(cnt)) => {
+                cnt.remove();
             }
-            Some(_) => {
-                self.counts.remove(&key);
-                let per = self
-                    .per_process
-                    .get_mut(&pid)
-                    .expect("per-process count exists while pages are pinned");
-                *per -= 1;
-            }
-            None => return Err(MemError::NotPinned { pid, page }),
+            _ => return Err(MemError::NotPinned { pid, page }),
         }
         self.stats.unpin_ops += 1;
         Ok(())
@@ -147,11 +156,9 @@ impl PinRegistry {
         self.stats
     }
 
-    /// Releases every pin belonging to `pid` (process exit).
+    /// Releases every pin belonging to `pid`, and its limit (process exit).
     pub fn release_process(&mut self, pid: ProcessId) {
-        self.counts.retain(|(p, _), _| *p != pid);
-        self.per_process.remove(&pid);
-        self.limits.remove(&pid);
+        self.procs.remove(&pid);
     }
 }
 
@@ -237,5 +244,20 @@ mod tests {
         assert_eq!(reg.pinned_pages(pid(1)), 0);
         assert_eq!(reg.limit(pid(1)), None);
         assert!(reg.is_pinned(pid(2), VirtPage::new(0)));
+    }
+
+    #[test]
+    fn total_pinned_pages_counts_a_leaked_pin() {
+        let mut reg = PinRegistry::new();
+        reg.set_limit(pid(3), Some(4));
+        reg.pin(pid(1), VirtPage::new(0)).unwrap();
+        reg.pin(pid(1), VirtPage::new(0)).unwrap();
+        reg.pin(pid(2), VirtPage::new(7)).unwrap();
+        assert_eq!(reg.total_pinned_pages(), 2, "distinct pages, not refs");
+        reg.release_process(pid(1));
+        // Process 2 never released its pin: the leak stays visible.
+        assert_eq!(reg.total_pinned_pages(), 1);
+        reg.unpin(pid(2), VirtPage::new(7)).unwrap();
+        assert_eq!(reg.total_pinned_pages(), 0);
     }
 }

@@ -99,7 +99,6 @@ pub(crate) struct ClusterDriver<'a, 'e, M: ?Sized> {
     demands: Vec<PageDemand>,
     /// Reused candidate-order scratch (O(nodes), no per-open allocation).
     order: Vec<usize>,
-    spawned: u32,
     accepted: u64,
     refused: u64,
     /// Connections accepted on a board other than their first choice.
@@ -183,7 +182,6 @@ impl<M: TranslationMechanism + ?Sized> ClusterDriver<'_, '_, M> {
         );
         debug_assert!(hello.is_request());
         let pid = self.host.spawn_process();
-        self.spawned = self.spawned.max(pid.raw());
         self.candidate_order(index);
         let order = std::mem::take(&mut self.order);
         let mut opened = None;
@@ -594,7 +592,6 @@ where
         events: Vec::new(),
         demands: Vec::new(),
         order: Vec::with_capacity(nodes),
-        spawned: 0,
         accepted: 0,
         refused: 0,
         redirected: 0,
@@ -603,9 +600,7 @@ where
     let counts = run_reactor(&mut drv, fcfg);
 
     // Nothing may stay pinned: every connection closed and unregistered.
-    let pinned_pages_end: u64 = (1..=drv.spawned)
-        .map(|raw| drv.host.driver().pins().pinned_pages(ProcessId::new(raw)))
-        .sum();
+    let pinned_pages_end = drv.host.driver().pins().total_pinned_pages();
 
     let mut cells: Vec<FrontendBoardCell> = Vec::with_capacity(nodes);
     let mut cluster_latency = Histogram::new();

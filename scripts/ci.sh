@@ -50,6 +50,11 @@ cargo test -q --offline -p utlb-sim --test equivalence
 filtered_test -p utlb-core obs::
 filtered_test -p utlb-core mechanism::
 
+echo "== host-memory substrate: dense frame store and per-process pin registry"
+cargo test -q --offline -p utlb-mem --test properties
+filtered_test -p utlb-mem pin::
+filtered_test -p utlb-mem phys::
+
 echo "== four-mechanism unification: shared pin core and variant ablations"
 filtered_test -p utlb-core pincore::
 filtered_test -p utlb-core policy::
