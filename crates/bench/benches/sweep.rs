@@ -19,7 +19,7 @@ use utlb_mem::{Host, PhysAddr, ProcessId, VirtPage, PAGE_SIZE};
 use utlb_nic::Board;
 use utlb_sim::sweep::{SweepGrid, THREADS_ENV};
 use utlb_sim::RunOutputExt;
-use utlb_sim::{sweep, sweep_over, sweep_over_with, Mechanism, Run, SimConfig, SweepScratch};
+use utlb_sim::{sweep, Mechanism, Run, SimConfig};
 use utlb_trace::{gen, GenConfig, SplashApp, Trace};
 
 fn small_cfg() -> GenConfig {
@@ -53,7 +53,7 @@ fn bench_cache_probe(c: &mut Criterion) {
 
 /// Executor overhead: fanning out cells that do almost nothing, so the
 /// scheduling cost itself dominates.
-fn bench_sweep_overhead(c: &mut Criterion) {
+fn bench_executor_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("sweep");
     for cells in [16usize, 256] {
         group.bench_with_input(BenchmarkId::new("overhead", cells), &cells, |b, &cells| {
@@ -90,51 +90,6 @@ fn bench_grid(c: &mut Criterion) {
             })
         });
     }
-    std::env::remove_var(THREADS_ENV);
-    group.finish();
-}
-
-/// The scratch-arena claim: the same Figure 7-shaped grid with a fresh set
-/// of replay buffers per cell (`execute`) vs per-worker reusable scratch
-/// (`sweep_over_with` + `execute_in`). Pinned to one worker so the delta is
-/// pure allocation traffic, not scheduling.
-fn bench_scratch_reuse(c: &mut Criterion) {
-    let trace = gen::generate_shared(SplashApp::Water, &small_cfg());
-    let sizes = [1024usize, 4096, 8192, 16384];
-    let mut group = c.benchmark_group("sweep");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(sizes.len() as u64));
-    std::env::set_var(THREADS_ENV, "1");
-    group.bench_function("grid_fresh_buffers", |b| {
-        b.iter(|| {
-            black_box(sweep_over(&sizes, |&entries| {
-                Run::new(Mechanism::Utlb)
-                    .config(&SimConfig::study(entries))
-                    .execute(&trace)
-                    .into_sim()
-                    .unwrap()
-                    .stats
-                    .ni_miss_rate()
-            }))
-        })
-    });
-    group.bench_function("grid_scratch_reuse", |b| {
-        b.iter(|| {
-            black_box(sweep_over_with(
-                &sizes,
-                SweepScratch::new,
-                |&entries, scratch| {
-                    Run::new(Mechanism::Utlb)
-                        .config(&SimConfig::study(entries))
-                        .execute_in(scratch, &trace)
-                        .into_sim()
-                        .unwrap()
-                        .stats
-                        .ni_miss_rate()
-                },
-            ))
-        })
-    });
     std::env::remove_var(THREADS_ENV);
     group.finish();
 }
@@ -382,9 +337,8 @@ fn bench_bulk_replay(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_cache_probe,
-    bench_sweep_overhead,
+    bench_executor_overhead,
     bench_grid,
-    bench_scratch_reuse,
     bench_cost_ordered_overhead,
     bench_noop_probe,
     bench_replay_paths,

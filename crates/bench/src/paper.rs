@@ -9,7 +9,7 @@ use serde::Serialize;
 use std::path::Path;
 use utlb_core::obs::Metrics;
 use utlb_sim::RunOutputExt;
-use utlb_sim::{phase_breakdown, sweep_over, Mechanism, ObsReport, Run, SimConfig};
+use utlb_sim::{phase_breakdown, sweep, Mechanism, ObsReport, Run, SimConfig};
 use utlb_trace::{gen, GenConfig, SplashApp};
 
 /// Per-process event-ring capacity for observed runs: enough tail to
@@ -91,7 +91,8 @@ fn obs_pass(gencfg: &GenConfig) -> Outcome {
     ];
 
     for (name, cells) in experiments {
-        let runs: Vec<ObsRun> = sweep_over(&cells, |(tix, mech, cfg)| {
+        let runs: Vec<ObsRun> = sweep(cells.len(), |i| {
+            let (tix, mech, cfg) = &cells[i];
             let (app, trace) = &traces[*tix];
             let (_, report) = Run::new(*mech)
                 .config(cfg)

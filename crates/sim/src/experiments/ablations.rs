@@ -10,7 +10,7 @@
 
 use crate::report::{micros, rate, TextTable};
 use crate::RunOutputExt;
-use crate::{sweep_over_with, Mechanism, Run, SimConfig, SimResult, SweepScratch};
+use crate::{sweep, Mechanism, Run, SimConfig, SimResult};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use utlb_core::{Associativity, IndexedEngine, Policy, TranslationStats};
@@ -75,7 +75,8 @@ pub fn policy_sweep(app: SplashApp, cfg: &GenConfig) -> PolicySweep {
     let trace = gen::generate_shared(app, cfg);
     let per_process_fp = trace.footprint_pages() / 5;
     let mem_limit_pages = (per_process_fp * 2 / 5).max(4);
-    let cells = sweep_over_with(&Policy::ALL, SweepScratch::new, |&policy, scratch| {
+    let cells = sweep(Policy::ALL.len(), |i| {
+        let policy = Policy::ALL[i];
         let sim = SimConfig {
             policy,
             mem_limit_pages: Some(mem_limit_pages),
@@ -83,7 +84,7 @@ pub fn policy_sweep(app: SplashApp, cfg: &GenConfig) -> PolicySweep {
         };
         let r = Run::new(Mechanism::Utlb)
             .config(&sim)
-            .execute_in(scratch, &trace)
+            .execute(&trace)
             .into_sim()
             .unwrap();
         PolicyCell {
@@ -331,14 +332,15 @@ pub struct AssocCost {
 /// set-associative caches lose to the direct-map cache" on actual cost.
 pub fn assoc_cost(app: SplashApp, cfg: &GenConfig, cache_entries: usize) -> AssocCost {
     let trace = gen::generate_shared(app, cfg);
-    let rows = sweep_over_with(&Associativity::ALL, SweepScratch::new, |&assoc, scratch| {
+    let rows = sweep(Associativity::ALL.len(), |i| {
+        let assoc = Associativity::ALL[i];
         let sim = SimConfig {
             associativity: assoc,
             ..SimConfig::study(cache_entries)
         };
         let r = Run::new(Mechanism::Utlb)
             .config(&sim)
-            .execute_in(scratch, &trace)
+            .execute(&trace)
             .into_sim()
             .unwrap();
         (

@@ -8,7 +8,7 @@
 use super::{app_traces, gen_key, CACHE_SIZES};
 use crate::report::{rate, TextTable};
 use crate::RunOutputExt;
-use crate::{Mechanism, Run, SimConfig, SweepGrid, SweepScratch};
+use crate::{Mechanism, Run, SimConfig, SweepGrid};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use utlb_core::Associativity;
@@ -110,12 +110,12 @@ pub fn table8(cfg: &GenConfig) -> Table8 {
                 gen_key(cfg)
             )
         })
-        .run_with(SweepScratch::new, |&(entries, org, tix), scratch| {
+        .run(|&(entries, org, tix)| {
             let (app, ref trace) = traces[tix];
             let sim = org.apply(SimConfig::study(entries));
             let r = Run::new(Mechanism::Utlb)
                 .config(&sim)
-                .execute_in(scratch, trace)
+                .execute(trace)
                 .into_sim()
                 .unwrap();
             Table8Cell {

@@ -4,7 +4,7 @@
 use super::{app_traces, gen_key};
 use crate::report::TextTable;
 use crate::RunOutputExt;
-use crate::{Mechanism, Run, SimConfig, SweepGrid, SweepScratch};
+use crate::{Mechanism, Run, SimConfig, SweepGrid};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use utlb_trace::{GenConfig, SplashApp};
@@ -56,12 +56,12 @@ pub fn fig7(cfg: &GenConfig) -> Fig7 {
         .checkpoint("fig7", |&(tix, entries)| {
             format!("entries={entries}|app={}|{}", traces[tix].0, gen_key(cfg))
         })
-        .run_with(SweepScratch::new, |&(tix, entries), scratch| {
+        .run(|&(tix, entries)| {
             let (app, ref trace) = traces[tix];
             let sim = SimConfig::study(entries);
             let r = Run::new(Mechanism::Utlb)
                 .config(&sim)
-                .execute_in(scratch, trace)
+                .execute(trace)
                 .into_sim()
                 .unwrap();
             let (comp, cap, conf) = r.breakdown.rates(r.stats.lookups);

@@ -8,7 +8,7 @@
 use super::{app_traces, gen_key, CACHE_SIZES, SPARSE_SIZES};
 use crate::report::{micros, rate, TextTable};
 use crate::RunOutputExt;
-use crate::{Mechanism, Run, SimConfig, SweepGrid, SweepScratch};
+use crate::{Mechanism, Run, SimConfig, SweepGrid};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use utlb_trace::{GenConfig, SplashApp};
@@ -63,7 +63,7 @@ fn compare(cfg: &GenConfig, mem_limit_mb: Option<u64>) -> Table45 {
                 gen_key(cfg)
             )
         })
-        .run_with(SweepScratch::new, |&(entries, tix), scratch| {
+        .run(|&(entries, tix)| {
             let (app, ref trace) = traces[tix];
             let mut sim = SimConfig::study(entries);
             if let Some(mb) = mem_limit_mb {
@@ -71,12 +71,12 @@ fn compare(cfg: &GenConfig, mem_limit_mb: Option<u64>) -> Table45 {
             }
             let u = Run::new(Mechanism::Utlb)
                 .config(&sim)
-                .execute_in(scratch, trace)
+                .execute(trace)
                 .into_sim()
                 .unwrap();
             let i = Run::new(Mechanism::Intr)
                 .config(&sim)
-                .execute_in(scratch, trace)
+                .execute(trace)
                 .into_sim()
                 .unwrap();
             CompareCell {
@@ -177,17 +177,17 @@ pub fn table6(cfg: &GenConfig) -> Table6 {
         .checkpoint("table6", |&(tix, entries)| {
             format!("entries={entries}|app={}|{}", traces[tix].0, gen_key(cfg))
         })
-        .run_with(SweepScratch::new, |&(tix, entries), scratch| {
+        .run(|&(tix, entries)| {
             let (app, ref trace) = traces[tix];
             let sim = SimConfig::study(entries);
             let u = Run::new(Mechanism::Utlb)
                 .config(&sim)
-                .execute_in(scratch, trace)
+                .execute(trace)
                 .into_sim()
                 .unwrap();
             let i = Run::new(Mechanism::Intr)
                 .config(&sim)
-                .execute_in(scratch, trace)
+                .execute(trace)
                 .into_sim()
                 .unwrap();
             Table6Row {

@@ -13,7 +13,7 @@
 use super::gen_key;
 use crate::report::{micros, TextTable};
 use crate::RunOutputExt;
-use crate::{DesConfig, Mechanism, Run, SimConfig, SweepGrid, SweepScratch};
+use crate::{DesConfig, Mechanism, Run, SimConfig, SweepGrid};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -107,11 +107,11 @@ pub fn bus_contention(cfg: &GenConfig, cache_entries: usize) -> BusContention {
                 gen_key(cfg)
             )
         })
-        .run_with(SweepScratch::new, |(app, trace, mech, load), scratch| {
+        .run(|(app, trace, mech, load)| {
             let r = Run::new(*mech)
                 .config(&sim)
                 .des(des_config(*load))
-                .execute_in(scratch, trace.as_ref())
+                .execute(trace.as_ref())
                 .into_des()
                 .unwrap();
             ContentionCell {
@@ -229,11 +229,11 @@ pub fn interference_des(
         .collect();
     let results = SweepGrid::over(&runs)
         .cost(|(trace, _)| trace.total_lookups())
-        .run_with(SweepScratch::new, |(trace, mech), scratch| {
+        .run(|(trace, mech)| {
             Run::new(*mech)
                 .config(&sim)
                 .des(des)
-                .execute_in(scratch, trace.as_ref())
+                .execute(trace.as_ref())
                 .into_des()
                 .unwrap()
         });

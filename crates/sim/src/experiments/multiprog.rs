@@ -10,7 +10,7 @@
 
 use crate::report::{rate, TextTable};
 use crate::RunOutputExt;
-use crate::{Mechanism, Run, SimConfig, SweepGrid, SweepScratch};
+use crate::{Mechanism, Run, SimConfig, SweepGrid};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use utlb_trace::{gen, merge_multiprogram, GenConfig, SplashApp};
@@ -68,10 +68,10 @@ pub fn multiprog(a: SplashApp, b: SplashApp, cfg: &GenConfig, cache_entries: usi
     ];
     let mut results = SweepGrid::over(&runs)
         .cost(|&(trace, _)| trace.total_lookups())
-        .run_with(SweepScratch::new, |&(trace, run_sim), scratch| {
+        .run(|&(trace, run_sim)| {
             Run::new(Mechanism::Utlb)
                 .config(run_sim)
-                .execute_in(scratch, trace)
+                .execute(trace)
                 .into_sim()
                 .unwrap()
         });

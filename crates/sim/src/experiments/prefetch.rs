@@ -10,7 +10,7 @@
 use super::gen_key;
 use crate::report::{micros, rate, TextTable};
 use crate::RunOutputExt;
-use crate::{Mechanism, Run, SimConfig, SweepGrid, SweepScratch};
+use crate::{Mechanism, Run, SimConfig, SweepGrid};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use utlb_trace::{gen, GenConfig, SplashApp};
@@ -51,13 +51,13 @@ pub fn fig8(cfg: &GenConfig) -> Fig8 {
         }
     }
     // Every cell replays the same Radix trace, so costs are uniform and
-    // the dispatcher keeps input order; the grid still buys the cells
-    // scratch reuse and a resume journal.
+    // the dispatcher keeps input order; the grid still buys the cells a
+    // resume journal.
     let points = SweepGrid::over(&specs)
         .checkpoint("fig8", |&(entries, prefetch)| {
             format!("entries={entries}|prefetch={prefetch}|{}", gen_key(cfg))
         })
-        .run_with(SweepScratch::new, |&(entries, prefetch), scratch| {
+        .run(|&(entries, prefetch)| {
             // §6.5: "in order for prefetching to work well, translations
             // for contiguous application pages must be available during a
             // miss" — so the user library pre-pins the same width the NIC
@@ -71,7 +71,7 @@ pub fn fig8(cfg: &GenConfig) -> Fig8 {
             };
             let r = Run::new(Mechanism::Utlb)
                 .config(&sim)
-                .execute_in(scratch, &trace)
+                .execute(&trace)
                 .into_sim()
                 .unwrap();
             Fig8Point {

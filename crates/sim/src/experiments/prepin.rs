@@ -11,7 +11,7 @@
 use super::gen_key;
 use crate::report::{micros, TextTable};
 use crate::RunOutputExt;
-use crate::{Mechanism, Run, SimConfig, SweepGrid, SweepScratch};
+use crate::{Mechanism, Run, SimConfig, SweepGrid};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use utlb_trace::{gen, GenConfig, SplashApp, Trace};
@@ -53,13 +53,7 @@ pub struct Table7 {
     pub cells: Vec<PrepinCell>,
 }
 
-fn measure(
-    app: SplashApp,
-    trace: &Trace,
-    prepin: u64,
-    limit_pages: u64,
-    scratch: &mut SweepScratch,
-) -> PrepinCell {
+fn measure(app: SplashApp, trace: &Trace, prepin: u64, limit_pages: u64) -> PrepinCell {
     let sim = SimConfig {
         prepin,
         mem_limit_pages: Some(limit_pages),
@@ -67,7 +61,7 @@ fn measure(
     };
     let r = Run::new(Mechanism::Utlb)
         .config(&sim)
-        .execute_in(scratch, trace)
+        .execute(trace)
         .into_sim()
         .unwrap();
     PrepinCell {
@@ -109,9 +103,9 @@ pub fn table7(cfg: &GenConfig) -> Table7 {
                 gen_key(cfg)
             )
         })
-        .run_with(SweepScratch::new, |&(tix, prepin), scratch| {
+        .run(|&(tix, prepin)| {
             let (app, ref trace) = traces[tix];
-            measure(app, trace, prepin, limit_pages, scratch)
+            measure(app, trace, prepin, limit_pages)
         });
     Table7 {
         mem_limit_pages: limit_pages,
@@ -171,9 +165,7 @@ pub fn prepin_sweep(app: SplashApp, cfg: &GenConfig) -> PrepinSweep {
         .checkpoint("prepin_sweep", |&w| {
             format!("app={app}|prepin={w}|limit={limit_pages}|{}", gen_key(cfg))
         })
-        .run_with(SweepScratch::new, |&w, scratch| {
-            measure(app, &trace, w, limit_pages, scratch)
-        });
+        .run(|&w| measure(app, &trace, w, limit_pages));
     PrepinSweep { app, cells }
 }
 

@@ -20,7 +20,7 @@
 use crate::report::TextTable;
 use crate::runner::STREAM_CHUNK;
 use crate::RunOutputExt;
-use crate::{Mechanism, Run, SimConfig, SweepScratch};
+use crate::{Mechanism, Run, SimConfig};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Instant;
@@ -112,10 +112,6 @@ pub fn peak_rss_kb() -> Option<u64> {
 /// Panics on internal engine errors, as for any [`Run`] execution.
 pub fn stream_scale(cfg: &GenConfig, epochs: u64, cache_entries: usize) -> StreamScale {
     let sim = SimConfig::study(cache_entries);
-    // One scratch serves both runs: the replay chunk and outcome buffer
-    // allocated for the streamed pass are reused by the baseline, so the
-    // peak-RSS reading is not inflated by a second set of buffers.
-    let mut scratch = SweepScratch::new();
 
     // --- Fused generate+replay: the trace never exists in memory. ---
     let mut looped = Looped::new(
@@ -127,11 +123,7 @@ pub fn stream_scale(cfg: &GenConfig, epochs: u64, cache_entries: usize) -> Strea
     let streamed_records = looped.remaining();
     let start = Instant::now();
     let streamed = Run::with_config(&sim)
-        .execute_with_in(
-            &mut UtlbEngine::new(sim.utlb_config()),
-            &mut scratch,
-            &mut looped,
-        )
+        .execute_with(&mut UtlbEngine::new(sim.utlb_config()), &mut looped)
         .into_sim()
         .unwrap();
     let streamed_wall = start.elapsed();
@@ -142,7 +134,7 @@ pub fn stream_scale(cfg: &GenConfig, epochs: u64, cache_entries: usize) -> Strea
     let start = Instant::now();
     let baseline = Run::new(Mechanism::Utlb)
         .config(&sim)
-        .execute_in(&mut scratch, &baseline_trace)
+        .execute(&baseline_trace)
         .into_sim()
         .unwrap();
     let baseline_wall = start.elapsed();

@@ -76,8 +76,5 @@ pub use report::{phase_breakdown, wait_breakdown, TextTable};
 pub use run::{
     Live, Run, RunError, RunInput, RunOutput, RunOutputExt, StreamVisitor, DEFAULT_OBS_RING,
 };
-pub use runner::{SimResult, SweepScratch, STREAM_CHUNK};
-pub use sweep::{
-    sweep, sweep_over, sweep_over_with, sweep_with, worker_count, worker_topology, SweepGrid,
-    WorkerSource, WorkerTopology,
-};
+pub use runner::{SimResult, STREAM_CHUNK};
+pub use sweep::{sweep, worker_count, SweepGrid};

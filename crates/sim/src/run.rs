@@ -36,7 +36,10 @@
 //! replays through one loop over `nodes >= 1` boards, and every [`Live`]
 //! input drives one connection reactor over `nodes >= 1` boards. A plain
 //! run is the one-board case with no station overlay; `.des()` and
-//! `.cluster()` switch the overlay on.
+//! `.cluster()` switch the overlay on. Each execution allocates its own
+//! replay buffers, so one run never sees state left by another; the only
+//! state a caller can carry in is the engine it hands to
+//! [`Run::execute_with`].
 //!
 //! Misconfiguration is a typed, recoverable [`RunError`] returned from
 //! [`Run::execute`], never a panic: an incompatible builder combination,
@@ -49,7 +52,7 @@ use crate::des_runner::DesResult;
 use crate::frontend::cluster::{serve_live, ClusterFrontendResult};
 use crate::frontend::{FrontendConfig, FrontendResult};
 use crate::observe::{Collect, ObsReport};
-use crate::runner::{replay, SimResult, SweepScratch};
+use crate::runner::{replay, SimResult};
 use crate::{Mechanism, SimConfig};
 use utlb_core::TranslationMechanism;
 use utlb_des::DesConfig;
@@ -222,32 +225,6 @@ impl Run {
     /// Panics on internal engine errors — trace simulation is closed-world,
     /// so any failure past configuration is a bug worth a loud stop.
     pub fn execute(&self, input: impl RunInput) -> Result<RunOutput, RunError> {
-        let mut scratch = SweepScratch::new();
-        self.execute_in(&mut scratch, input)
-    }
-
-    /// [`execute`](Run::execute) with a caller-supplied scratch arena: the
-    /// replay loop's reusable buffers (stream chunk, outcome buffer, DES
-    /// event/demand vectors) come from `scratch` instead of being
-    /// allocated fresh — the way sweep workers run many cells with one
-    /// arena (see [`sweep_with`](crate::sweep_with)). Every trace run uses
-    /// it, on any number of boards; a [`Live`] run generates its own
-    /// requests and leaves it untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RunError`] on builder misuse, exactly as
-    /// [`execute`](Run::execute).
-    ///
-    /// # Panics
-    ///
-    /// Panics on internal engine errors, exactly as
-    /// [`execute`](Run::execute).
-    pub fn execute_in(
-        &self,
-        scratch: &mut SweepScratch,
-        input: impl RunInput,
-    ) -> Result<RunOutput, RunError> {
         let mech = self.mech.ok_or(RunError::NoMechanism)?;
         self.check()?;
         let nodes = self.cluster.as_ref().map_or(1, |c| c.nodes);
@@ -256,7 +233,6 @@ impl Run {
         input.dispatch(Exec {
             run: self,
             engines: owned.iter_mut().map(|e| &mut **e).collect(),
-            scratch,
         })
     }
 
@@ -280,30 +256,6 @@ impl Run {
     where
         M: TranslationMechanism + ?Sized,
     {
-        let mut scratch = SweepScratch::new();
-        self.execute_with_in(engine, &mut scratch, input)
-    }
-
-    /// [`execute_with`](Run::execute_with) with a caller-supplied scratch
-    /// arena (see [`execute_in`](Run::execute_in)).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`RunError`] on builder misuse; cluster runs build one
-    /// engine per board and must go through [`execute`](Run::execute).
-    ///
-    /// # Panics
-    ///
-    /// Panics on internal engine errors.
-    pub fn execute_with_in<M>(
-        &self,
-        engine: &mut M,
-        scratch: &mut SweepScratch,
-        input: impl RunInput,
-    ) -> Result<RunOutput, RunError>
-    where
-        M: TranslationMechanism + ?Sized,
-    {
         if self.cluster.is_some() {
             return Err(RunError::IncompatibleConfig(
                 "cluster runs construct one engine per board: use Run::execute",
@@ -313,7 +265,6 @@ impl Run {
         input.dispatch(Exec {
             run: self,
             engines: vec![engine],
-            scratch,
         })
     }
 
@@ -474,13 +425,12 @@ impl RunInput for Live {
 /// The one dispatch of a configured run: a trace input replays through the
 /// trace loop, [`Live`] drives the live reactor, each over the run's
 /// engines — one per board, borrowed for the run.
-struct Exec<'r, 'e, 's, M: ?Sized> {
+struct Exec<'r, 'e, M: ?Sized> {
     run: &'r Run,
     engines: Vec<&'e mut M>,
-    scratch: &'s mut SweepScratch,
 }
 
-impl<M: TranslationMechanism + ?Sized> StreamVisitor for Exec<'_, '_, '_, M> {
+impl<M: TranslationMechanism + ?Sized> StreamVisitor for Exec<'_, '_, M> {
     type Out = Result<RunOutput, RunError>;
 
     fn visit<S: TraceStream + ?Sized>(self, stream: &mut S) -> Result<RunOutput, RunError> {
@@ -502,7 +452,6 @@ impl<M: TranslationMechanism + ?Sized> StreamVisitor for Exec<'_, '_, '_, M> {
             topology,
             run.overlay().as_ref(),
             run.collect(),
-            self.scratch,
         );
         let obs = replayed.obs.take();
         let payload = if run.cluster.is_some() {

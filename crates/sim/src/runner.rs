@@ -6,6 +6,10 @@
 //! pinned, translation tables really live in simulated DRAM, and the Shared
 //! UTLB-Cache really fills over the simulated I/O bus. The statistics
 //! reported are therefore the mechanism's own counters, not a re-model.
+//!
+//! Each run builds its own replay buffers (stream chunk, outcome buffer,
+//! DES event and demand vectors) and drops them when it ends: nothing a
+//! run allocates outlives it or is shared with another run.
 
 use crate::cluster::{BoardCell, ClusterConfig, ClusterResult, Migration, MigrationReport};
 use crate::des_runner::{DesConfig, DesResult};
@@ -27,44 +31,19 @@ use utlb_trace::{fill_chunk, ShardMap, TraceRecord, TraceStream};
 /// resident trace state is one chunk, whatever the stream's total size.
 pub const STREAM_CHUNK: usize = 1024;
 
-/// The replay loop's reusable buffers, hoisted out so a sweep worker can
-/// carry one arena across every cell it executes.
-///
-/// A single run already allocates nothing per record: the stream chunk,
-/// the batched-lookup [`OutcomeBuf`], and the DES overlay's event/demand
-/// vectors are reused across the whole stream (PR 5/6's scratch-reuse
-/// pattern). This struct extends the same pattern across *sweep cells* —
-/// [`sweep_with`](crate::sweep_with) builds one `SweepScratch` per worker
-/// and [`Run::execute_in`](crate::Run::execute_in) threads it into each
-/// run, so a 140-cell grid pays the buffer growth once per worker instead
-/// of once per cell.
-///
-/// Every buffer is cleared by the replay loop before use (the chunk by
-/// `fill_chunk`, the rest explicitly), so reuse is behavior-preserving:
-/// results are byte-identical whether a scratch is fresh or carried over,
-/// which the sweep determinism suite pins.
-#[derive(Debug, Default)]
-pub struct SweepScratch {
+/// The replay loop's reusable buffers, built once per run and reused
+/// across its whole stream, so the loop allocates nothing per record once
+/// they have grown to steady state.
+#[derive(Default)]
+struct ReplayBuffers {
     /// Stream refill buffer ([`STREAM_CHUNK`] records at steady state).
-    pub(crate) chunk: Vec<TraceRecord>,
+    chunk: Vec<TraceRecord>,
     /// Per-record page outcomes from the batched lookup path.
-    pub(crate) out: OutcomeBuf,
+    out: OutcomeBuf,
     /// Drained engine events, decomposed into demands (DES overlay only).
-    pub(crate) events: Vec<Event>,
+    events: Vec<Event>,
     /// Per-page resource demands (DES overlay only).
-    pub(crate) demands: Vec<PageDemand>,
-}
-
-impl SweepScratch {
-    /// An empty arena; buffers grow to steady state on first use.
-    pub fn new() -> Self {
-        SweepScratch {
-            chunk: Vec::with_capacity(STREAM_CHUNK),
-            out: OutcomeBuf::new(),
-            events: Vec::new(),
-            demands: Vec::new(),
-        }
-    }
+    demands: Vec<PageDemand>,
 }
 
 /// Outcome of one simulation run.
@@ -216,10 +195,9 @@ impl Replayed {
 ///
 /// It spawns the stream's processes, registering each on the board
 /// `topology` homes it to, then consumes records in [`STREAM_CHUNK`]-sized
-/// refills of the scratch arena's one buffer: applying due migrations,
-/// advancing the home board's clock to the record's timestamp, translating
-/// its buffer through the batched zero-allocation lookup path, and
-/// classifying every NIC miss. With `des` set, each record's demands are
+/// refills of one buffer: applying due migrations, advancing the home
+/// board's clock to the record's timestamp, translating its buffer through
+/// the batched zero-allocation lookup path, and classifying every NIC miss. With `des` set, each record's demands are
 /// then priced on the board's firmware and DMA engine and the shared
 /// stations, and its payload traffic crosses the shared bus. With
 /// `collect` set, every board carries a collector.
@@ -239,7 +217,6 @@ pub(crate) fn replay<M, S>(
     topology: &ClusterConfig,
     des: Option<&DesConfig>,
     collect: Option<Collect>,
-    scratch: &mut SweepScratch,
 ) -> Replayed
 where
     M: TranslationMechanism + ?Sized,
@@ -326,16 +303,13 @@ where
         None => Vec::new(),
     };
 
-    // The chunk, outcome, event and demand buffers come from the caller's
-    // arena and are reused across the whole stream — and, in a sweep,
-    // across every cell the worker executes — so the loop allocates
-    // nothing per record once they have grown to steady state.
-    let SweepScratch {
+    let mut buffers = ReplayBuffers::default();
+    let ReplayBuffers {
         chunk,
         out,
         events,
         demands,
-    } = scratch;
+    } = &mut buffers;
     while fill_chunk(stream, chunk, STREAM_CHUNK) > 0 {
         for rec in chunk.iter() {
             while next_migration < migrations.len() && migrations[next_migration].at_ns <= rec.ts_ns

@@ -1,24 +1,17 @@
-//! Parallel experiment sweep executor: scratch arenas, cost-ordered
-//! dispatch, checkpoint/restore.
+//! Parallel experiment sweep executor: cost-ordered dispatch and
+//! checkpoint/restore.
 //!
 //! Every paper artifact is a grid of *independent* simulation cells — e.g.
 //! Table 8 is 5 cache sizes × 4 organizations × 7 applications, each cell
 //! one run over a shared trace. The drivers in [`crate::experiments`] hand
 //! such grids to this module, which fans the cells across a scoped thread
 //! pool and returns results **in input order**, so a parallel sweep is
-//! byte-identical to a sequential one.
+//! byte-identical to a sequential one. A cell shares nothing mutable with
+//! another: each run allocates its own replay buffers.
 //!
-//! Three mechanisms make the executor scale past the naive
+//! Two mechanisms make the executor scale past the naive
 //! fetch-and-increment pool it started as:
 //!
-//! * **Per-worker scratch arenas** — [`sweep_with`] hands every worker one
-//!   caller-built scratch value (`init` runs once per worker, not once per
-//!   cell) that each of its cells then reuses; with
-//!   [`SweepScratch`](crate::SweepScratch) and
-//!   [`Run::execute_in`](crate::Run::execute_in) the per-cell replay
-//!   buffers (stream chunk, [`OutcomeBuf`](utlb_core::OutcomeBuf), DES
-//!   event/demand vectors) are allocated once per worker and reused across
-//!   the whole grid.
 //! * **Cost-ordered dispatch** — [`SweepGrid::cost`] attaches an estimated
 //!   cost per cell (drivers use the exact lookup count of the cell's trace
 //!   or op program); the dispatcher hands out indices in descending-cost
@@ -46,7 +39,6 @@
 //! into journaling).
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
@@ -67,58 +59,7 @@ pub const COST_MODEL_TAG: &str = match option_env!("UTLB_GIT_DESCRIBE") {
     None => concat!("utlb-sim-", env!("CARGO_PKG_VERSION")),
 };
 
-/// Where a sweep's worker count came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WorkerSource {
-    /// [`THREADS_ENV`] was set to a positive integer.
-    EnvOverride,
-    /// The machine's `available_parallelism` (or 1 when unknown).
-    AvailableParallelism,
-}
-
-impl fmt::Display for WorkerSource {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WorkerSource::EnvOverride => f.write_str("env-override"),
-            WorkerSource::AvailableParallelism => f.write_str("available-parallelism"),
-        }
-    }
-}
-
-impl Serialize for WorkerSource {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.to_string())
-    }
-}
-
-impl Deserialize for WorkerSource {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        match v.as_str() {
-            Some("env-override") => Ok(WorkerSource::EnvOverride),
-            Some("available-parallelism") => Ok(WorkerSource::AvailableParallelism),
-            other => Err(serde::DeError::custom(format!(
-                "expected worker source string, got {other:?}"
-            ))),
-        }
-    }
-}
-
-/// The resolved worker topology of a sweep: how many workers, and why.
-/// Archived in sweep JSON headers so results record the real topology the
-/// run used instead of assuming it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WorkerTopology {
-    /// Workers the sweep will use (clamped to the cell count, never 0).
-    pub workers: usize,
-    /// The resolved count before clamping to the cell count.
-    pub configured: usize,
-    /// The machine's `available_parallelism` (1 when unknown).
-    pub available_parallelism: usize,
-    /// Where `configured` came from.
-    pub source: WorkerSource,
-}
-
-/// Resolves the worker topology a sweep over `items` cells would use: the
+/// Number of workers a sweep over `items` cells would use: the
 /// [`THREADS_ENV`] override if set to a positive integer, else the
 /// machine's available parallelism, clamped to the cell count (never 0).
 ///
@@ -129,7 +70,7 @@ pub struct WorkerTopology {
 /// The first resolution in a process logs the count and its source once
 /// via [`utlb_core::obs::note_once`], so batch logs record the real
 /// topology.
-pub fn worker_topology(items: usize) -> WorkerTopology {
+pub fn worker_count(items: usize) -> usize {
     let available_parallelism = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -138,24 +79,13 @@ pub fn worker_topology(items: usize) -> WorkerTopology {
         .and_then(|s| s.trim().parse::<usize>().ok())
         .filter(|&n| n > 0)
     {
-        Some(n) => (n, WorkerSource::EnvOverride),
-        None => (available_parallelism, WorkerSource::AvailableParallelism),
+        Some(n) => (n, "env-override"),
+        None => (available_parallelism, "available-parallelism"),
     };
     utlb_core::obs::note_once("sweep.workers", || {
         format!("{configured} workers ({source}), available parallelism {available_parallelism}")
     });
-    WorkerTopology {
-        workers: configured.clamp(1, items.max(1)),
-        configured,
-        available_parallelism,
-        source,
-    }
-}
-
-/// Number of workers a sweep over `items` cells would use — see
-/// [`worker_topology`].
-pub fn worker_count(items: usize) -> usize {
-    worker_topology(items).workers
+    configured.clamp(1, items.max(1))
 }
 
 /// Sets the sweep poison flag if its thread unwinds: dropped during a
@@ -177,29 +107,19 @@ impl Drop for PoisonOnPanic<'_> {
 /// journal are kept as-is and never dispatched. `order` lists the pending
 /// indices in dispatch order (cost-descending for LPT grids, input order
 /// otherwise); workers claim positions in `order` through one atomic
-/// counter. Each worker builds its scratch once via `init` and threads it
-/// through every cell it executes. Results are written back by input
-/// index, so the returned `Vec` is independent of worker count, dispatch
-/// order, and journal state.
-fn run_cells<T, S, I, F>(
-    mut slots: Vec<Option<T>>,
-    order: &[usize],
-    workers: usize,
-    init: I,
-    f: F,
-) -> Vec<T>
+/// counter. Results are written back by input index, so the returned `Vec`
+/// is independent of worker count, dispatch order, and journal state.
+fn run_cells<T, F>(mut slots: Vec<Option<T>>, order: &[usize], workers: usize, f: F) -> Vec<T>
 where
     T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(usize, &mut S) -> T + Sync,
+    F: Fn(usize) -> T + Sync,
 {
     let workers = workers.clamp(1, order.len().max(1));
     if order.is_empty() {
         // Nothing pending (fully journaled or an empty sweep).
     } else if workers <= 1 {
-        let mut scratch = init();
         for &ix in order {
-            slots[ix] = Some(f(ix, &mut scratch));
+            slots[ix] = Some(f(ix));
         }
     } else {
         let next = AtomicUsize::new(0);
@@ -209,7 +129,6 @@ where
                 .map(|_| {
                     scope.spawn(|| {
                         let _poison = PoisonOnPanic(&poisoned);
-                        let mut scratch = init();
                         let mut batch = Vec::new();
                         loop {
                             if poisoned.load(Ordering::Acquire) {
@@ -219,7 +138,7 @@ where
                             let Some(&ix) = order.get(at) else {
                                 return batch;
                             };
-                            batch.push((ix, f(ix, &mut scratch)));
+                            batch.push((ix, f(ix)));
                         }
                     })
                 })
@@ -260,52 +179,9 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    sweep_with(n, || (), move |ix, ()| f(ix))
-}
-
-/// [`sweep`] with a per-worker scratch arena: `init` builds one scratch
-/// value per worker (not per cell), and every cell that worker executes
-/// receives `&mut` access to it — the batched replay path's scratch-reuse
-/// pattern, applied across sweep cells. See
-/// [`SweepScratch`](crate::SweepScratch) for the canonical replay scratch
-/// and [`Run::execute_in`](crate::Run::execute_in) for threading it into a
-/// run.
-///
-/// # Panics
-///
-/// Propagates the first panic raised inside `f`, poisoning the dispatch
-/// loop so other workers stop promptly.
-pub fn sweep_with<T, S, I, F>(n: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(usize, &mut S) -> T + Sync,
-{
     let slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
     let order: Vec<usize> = (0..n).collect();
-    run_cells(slots, &order, worker_count(n), init, f)
-}
-
-/// Sweeps `f` over a slice, returning one result per item in item order.
-/// Convenience wrapper drivers use to fan a prebuilt cell list out.
-pub fn sweep_over<I, T, F>(items: &[I], f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-{
-    sweep(items.len(), |ix| f(&items[ix]))
-}
-
-/// [`sweep_over`] with a per-worker scratch arena (see [`sweep_with`]).
-pub fn sweep_over_with<I, T, S, FI, F>(items: &[I], init: FI, f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    FI: Fn() -> S + Sync,
-    F: Fn(&I, &mut S) -> T + Sync,
-{
-    sweep_with(items.len(), init, |ix, scratch| f(&items[ix], scratch))
+    run_cells(slots, &order, worker_count(n), f)
 }
 
 /// LPT dispatch order: indices sorted by descending cost, ties broken by
@@ -415,9 +291,9 @@ impl Journal {
 /// ```
 ///
 /// [`SweepGrid::checkpoint`] opts the grid into the crash-safe journal
-/// when [`CHECKPOINT_ENV`] is set; [`SweepGrid::run`]/
-/// [`SweepGrid::run_with`] execute the grid. Results are returned in item
-/// order regardless of cost order, worker count, or journal state.
+/// when [`CHECKPOINT_ENV`] is set; [`SweepGrid::run`] executes the grid.
+/// Results are returned in item order regardless of cost order, worker
+/// count, or journal state.
 #[derive(Debug)]
 pub struct SweepGrid<'i, I> {
     items: &'i [I],
@@ -473,8 +349,7 @@ impl<'i, I: Sync> SweepGrid<'i, I> {
 
     /// [`checkpoint`](SweepGrid::checkpoint) with an explicit journal
     /// directory, independent of the environment.
-    #[must_use]
-    pub fn checkpoint_at(
+    fn checkpoint_at(
         mut self,
         dir: impl AsRef<Path>,
         label: &str,
@@ -495,38 +370,20 @@ impl<'i, I: Sync> SweepGrid<'i, I> {
         self
     }
 
-    /// Executes the grid; results in item order. See
-    /// [`run_with`](SweepGrid::run_with) for the scratch-arena variant.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the first panic raised inside `f` (poisoning the
-    /// dispatch loop so remaining cells are abandoned promptly).
-    pub fn run<T, F>(self, f: F) -> Vec<T>
-    where
-        T: Send + Serialize + Deserialize,
-        F: Fn(&I) -> T + Sync,
-    {
-        self.run_with(|| (), move |item, ()| f(item))
-    }
-
-    /// Executes the grid with a per-worker scratch arena: `init` runs once
-    /// per worker, `f` receives the item and `&mut` scratch. Journaled
-    /// cells (checkpoint hits) are replayed without calling `f` at all;
-    /// computed cells are journaled as soon as they complete, from the
-    /// worker that ran them.
+    /// Executes the grid; results in item order. Journaled cells
+    /// (checkpoint hits) are replayed without calling `f` at all; computed
+    /// cells are journaled as soon as they complete, from the worker that
+    /// ran them.
     ///
     /// # Panics
     ///
     /// Propagates the first panic raised inside `f` (poisoning the
     /// dispatch loop so remaining cells are abandoned promptly). Cells
     /// journaled before the panic are preserved for the next run.
-    pub fn run_with<T, S, FI, F>(self, init: FI, f: F) -> Vec<T>
+    pub fn run<T, F>(self, f: F) -> Vec<T>
     where
         T: Send + Serialize + Deserialize,
-        S: Send,
-        FI: Fn() -> S + Sync,
-        F: Fn(&I, &mut S) -> T + Sync,
+        F: Fn(&I) -> T + Sync,
     {
         let n = self.items.len();
         let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
@@ -544,15 +401,15 @@ impl<'i, I: Sync> SweepGrid<'i, I> {
         };
         let items = self.items;
         let journal = &self.journal;
-        let compute = |ix: usize, scratch: &mut S| {
-            let value = f(&items[ix], scratch);
+        let compute = |ix: usize| {
+            let value = f(&items[ix]);
             if let Some(journal) = journal {
                 journal.store(ix, &value);
             }
             value
         };
         let workers = self.workers.unwrap_or_else(|| worker_count(pending.len()));
-        run_cells(slots, &pending, workers, init, compute)
+        run_cells(slots, &pending, workers, compute)
     }
 }
 
@@ -573,18 +430,9 @@ mod tests {
 
     #[test]
     fn one_worker_and_many_are_byte_identical() {
-        // The scratch is deliberately stateful (a running cell counter):
-        // per-worker reuse must still leave the serialized results equal
-        // to the sequential run's, byte for byte.
         let grid: Vec<u64> = (0..37).map(|ix| ix * 17 % 11).collect();
         let run = |workers: usize| {
-            let cells = SweepGrid::over(&grid).workers(workers).run_with(
-                || 0u64,
-                |&v, ran: &mut u64| {
-                    *ran += 1;
-                    v * v + 1
-                },
-            );
+            let cells = SweepGrid::over(&grid).workers(workers).run(|&v| v * v + 1);
             serde_json::to_string(&cells).unwrap()
         };
         let sequential = run(1);
@@ -596,12 +444,6 @@ mod tests {
     fn empty_and_single_cell_sweeps() {
         assert_eq!(sweep(0, |_| 0u32), Vec::<u32>::new());
         assert_eq!(sweep(1, |ix| ix + 41), vec![41]);
-    }
-
-    #[test]
-    fn sweep_over_maps_items() {
-        let apps = ["barnes", "fft", "radix"];
-        assert_eq!(sweep_over(&apps, |a| a.len()), vec![6, 3, 5]);
     }
 
     #[test]
@@ -620,52 +462,6 @@ mod tests {
         assert_eq!(worker_count(0), 1);
         assert_eq!(worker_count(1), 1);
         assert!(worker_count(usize::MAX) >= 1);
-    }
-
-    #[test]
-    fn topology_records_available_parallelism_and_source() {
-        let topo = worker_topology(1 << 20);
-        assert!(topo.available_parallelism >= 1);
-        assert!(topo.workers >= 1);
-        assert!(topo.configured >= topo.workers);
-        // Round-trips through the archive representation.
-        let json = serde_json::to_string(&topo).unwrap();
-        let back: WorkerTopology = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, topo);
-    }
-
-    #[test]
-    fn scratch_is_per_worker_not_per_cell() {
-        // Each worker's scratch counts the cells it executed; the number
-        // of scratches built equals the worker count, not the cell count,
-        // and every cell ran on exactly one scratch.
-        let builds = AtomicUsize::new(0);
-        let grid: Vec<usize> = (0..97).collect();
-        let out = SweepGrid::over(&grid).workers(4).run_with(
-            || {
-                builds.fetch_add(1, Ordering::Relaxed);
-                0usize
-            },
-            |&ix, seen: &mut usize| {
-                *seen += 1;
-                (ix, *seen)
-            },
-        );
-        let built = builds.load(Ordering::Relaxed);
-        assert!(built <= 4, "at most one scratch per worker, got {built}");
-        assert_eq!(out.len(), 97);
-        assert!(
-            out.iter().any(|&(_, seen)| seen > 1),
-            "scratch must be reused across cells"
-        );
-        assert_eq!(
-            out.iter().map(|&(ix, _)| ix).collect::<Vec<_>>(),
-            (0..97).collect::<Vec<_>>()
-        );
-        // Total cells seen across scratches covers the grid exactly once.
-        // (Each worker's final `seen` is not observable here, but the max
-        // per-cell counter stamps are consistent with single execution: a
-        // cell's stamp counts cells run so far on its worker.)
     }
 
     #[test]

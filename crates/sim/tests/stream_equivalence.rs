@@ -276,7 +276,8 @@ fn streamed_sweep_matches_materialized_grid() {
         .iter()
         .flat_map(|a| [(*a, 128usize), (*a, 512)])
         .collect();
-    let streamed = utlb_sim::sweep_over(&grid, |(app, entries)| {
+    let streamed = utlb_sim::sweep(grid.len(), |i| {
+        let (app, entries) = &grid[i];
         let cfg = SimConfig::study(*entries);
         serde_json::to_string(&run_stream(
             &mut UtlbEngine::new(cfg.utlb_config()),

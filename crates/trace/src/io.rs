@@ -39,21 +39,34 @@ pub fn write_jsonl<W: Write>(trace: &Trace, mut w: W) -> io::Result<()> {
 ///
 /// # Errors
 ///
-/// Returns `io::Error` on malformed input, a missing header, or a record
-/// count that does not match the header.
+/// Returns `io::Error` on malformed input, a missing header, records out
+/// of timestamp order, or a record count that does not match the header.
 pub fn read_jsonl<R: BufRead>(r: R) -> io::Result<Trace> {
     let mut lines = r.lines();
     let header_line = lines
         .next()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty trace file"))??;
     let header: Header = serde_json::from_str(&header_line)?;
-    let mut records = Vec::with_capacity(header.records as usize);
+    // The header's count is untrusted: it is checked below, never used to
+    // size an allocation.
+    let mut records: Vec<TraceRecord> = Vec::new();
     for line in lines {
         let line = line?;
         if line.trim().is_empty() {
             continue;
         }
         let rec: TraceRecord = serde_json::from_str(&line)?;
+        if let Some(prev) = records.last().filter(|prev| prev.ts_ns > rec.ts_ns) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "record {} is out of timestamp order ({} ns after {} ns)",
+                    records.len(),
+                    rec.ts_ns,
+                    prev.ts_ns
+                ),
+            ));
+        }
         records.push(rec);
     }
     if records.len() as u64 != header.records {
@@ -112,6 +125,29 @@ mod tests {
         let truncated: Vec<&str> = s.lines().collect();
         let shorter = truncated[..truncated.len() - 1].join("\n");
         assert!(read_jsonl(shorter.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn out_of_order_records_are_an_error() {
+        let t = sample();
+        let mut buf = Vec::new();
+        write_jsonl(&t, &mut buf).unwrap();
+        let s = String::from_utf8(buf).unwrap();
+        let mut lines: Vec<&str> = s.lines().collect();
+        lines.swap(1, 2);
+        let err = read_jsonl(lines.join("\n").as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn huge_header_count_is_an_error() {
+        let t = sample();
+        let mut buf = Vec::new();
+        write_jsonl(&t, &mut buf).unwrap();
+        let s = String::from_utf8(buf).unwrap();
+        let s = s.replacen("\"records\":10", &format!("\"records\":{}", u64::MAX), 1);
+        let err = read_jsonl(s.as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

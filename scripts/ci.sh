@@ -117,7 +117,7 @@ cargo test -q --offline -p utlb-sim --test builder_equivalence
 filtered_test -p utlb-sim run::
 filtered_test -p utlb-sim runner::
 
-echo "== sweep executor: scheduling, scratch, poison, and checkpoint unit tests"
+echo "== sweep executor: scheduling, poison, and checkpoint unit tests"
 filtered_test -p utlb-sim sweep::
 
 echo "== sweep executor: 1-vs-N byte-identity and checkpointed driver resume"
@@ -167,8 +167,8 @@ git diff --exit-code -- results/cluster_frontend_smoke.json
 echo "== clustered frontend: 1-vs-8-board live churn bench smoke"
 cargo bench -q --offline -p utlb-bench --bench cluster_frontend -- --test
 
-echo "== DES: replay overhead bench"
-cargo bench -q --offline -p utlb-bench --bench des_replay
+echo "== DES: replay overhead bench smoke"
+cargo bench -q --offline -p utlb-bench --bench des_replay -- --test
 
 echo "== criterion smoke: batched-vs-scalar replay benches compile and run"
 cargo bench -q --offline -p utlb-bench --bench sweep -- --test
