@@ -5,8 +5,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use utlb_core::{PinBitVector, PinnedSet, Policy};
-use utlb_mem::{Host, VirtPage};
+use utlb_core::{CacheConfig, PinBitVector, PinnedSet, Policy, SharedUtlbCache};
+use utlb_mem::{Host, PhysAddr, ProcessId, VirtPage};
 
 fn bench_bitvec_check(c: &mut Criterion) {
     let mut group = c.benchmark_group("bitvec_check");
@@ -114,11 +114,43 @@ fn bench_pinned_set(c: &mut Criterion) {
     group.finish();
 }
 
+/// A connection's close on a shared cache the other processes keep busy:
+/// a fresh process fills 8 lines, then `invalidate_process` drops them.
+/// The close walks only the closing process' lines, so its cost should
+/// not grow with the cache.
+fn bench_cache_close(c: &mut Criterion) {
+    let mut group = c.benchmark_group("cache_close");
+    for entries in [256usize, 8192] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(entries),
+            &entries,
+            |b, &entries| {
+                let mut cache = SharedUtlbCache::new(CacheConfig::direct(entries));
+                for v in 0..entries as u64 {
+                    let pid = ProcessId::new(1 + (v % 16) as u32);
+                    cache.insert(pid, VirtPage::new(v), PhysAddr::new(v << 12));
+                }
+                let mut next_pid = 100u32;
+                b.iter(|| {
+                    next_pid += 1;
+                    let pid = ProcessId::new(next_pid);
+                    for v in 0..8u64 {
+                        cache.insert(pid, VirtPage::new(v), PhysAddr::new(v << 12));
+                    }
+                    black_box(cache.invalidate_process(pid))
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_bitvec_check,
     bench_pin_unpin,
     bench_paging,
-    bench_pinned_set
+    bench_pinned_set,
+    bench_cache_close
 );
 criterion_main!(benches);

@@ -18,7 +18,7 @@
 
 use crate::bitvec::DenseBits;
 use serde::{Deserialize, Serialize};
-use utlb_mem::{PhysAddr, ProcessId, VirtPage};
+use utlb_mem::{IntMap, PhysAddr, ProcessId, VirtPage};
 
 /// Cache associativity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
@@ -97,6 +97,12 @@ struct Line {
     last_use: u64,
 }
 
+/// End of a per-process line list.
+const NIL: u32 = u32::MAX;
+
+/// A line's neighbours in its process' line list: `[prev, next]`.
+type Link = [u32; 2];
+
 /// Identity of a cache line, reported on eviction so callers (the
 /// interrupt-based baseline unpins on eviction) can react.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,11 +150,22 @@ impl CacheStats {
 /// `Option<Line>`, a probe is a single indexed load plus a bit test — no
 /// pointer chase per set, no discriminant per way — and construction is one
 /// allocation regardless of geometry.
+///
+/// Each process' valid lines are also threaded on a doubly linked list
+/// (links kept beside the lines, so the probe path never loads them), so
+/// process exit and the per-process occupancy walk only the lines that
+/// process holds instead of the whole array. The list order reaches no
+/// result: both walks only clear or count.
 #[derive(Debug)]
 pub struct SharedUtlbCache {
     cfg: CacheConfig,
     lines: Vec<Line>,
     valid: DenseBits,
+    /// `links[ix]`: line `ix`'s neighbours in its owner's list, meaningful
+    /// only while the line is valid.
+    links: Vec<Link>,
+    /// First line of each process holding at least one valid line.
+    heads: IntMap<ProcessId, u32>,
     num_sets: usize,
     ways: usize,
     /// `num_sets - 1` when the set count is a power of two, letting
@@ -180,10 +197,17 @@ impl SharedUtlbCache {
             phys: PhysAddr::new(0),
             last_use: 0,
         };
+        assert!(
+            u32::try_from(cfg.entries).is_ok_and(|n| n < NIL),
+            "cache of {} entries exceeds the line list's index range",
+            cfg.entries
+        );
         SharedUtlbCache {
             cfg,
             lines: vec![placeholder; cfg.entries],
             valid: DenseBits::zeros(cfg.entries),
+            links: vec![[NIL, NIL]; cfg.entries],
+            heads: IntMap::default(),
             num_sets,
             ways,
             set_mask: num_sets.is_power_of_two().then_some(num_sets as u64 - 1),
@@ -245,6 +269,31 @@ impl SharedUtlbCache {
     #[inline]
     fn set_base(&self, pid: ProcessId, page: VirtPage) -> usize {
         self.set_index(pid, page) * self.ways
+    }
+
+    /// Pushes line `ix` onto the front of `pid`'s line list.
+    fn link(&mut self, ix: usize, pid: ProcessId) {
+        let ix32 = ix as u32;
+        let head = self.heads.insert(pid, ix32).unwrap_or(NIL);
+        self.links[ix] = [NIL, head];
+        if head != NIL {
+            self.links[head as usize][0] = ix32;
+        }
+    }
+
+    /// Takes line `ix` off `pid`'s line list.
+    fn unlink(&mut self, ix: usize, pid: ProcessId) {
+        let [prev, next] = self.links[ix];
+        if next != NIL {
+            self.links[next as usize][0] = prev;
+        }
+        if prev != NIL {
+            self.links[prev as usize][1] = next;
+        } else if next != NIL {
+            self.heads.insert(pid, next);
+        } else {
+            self.heads.remove(&pid);
+        }
     }
 
     /// Looks up the translation of `(pid, page)`.
@@ -318,6 +367,7 @@ impl SharedUtlbCache {
         if let Some(ix) = self.valid.first_zero_in(base, base + self.ways) {
             self.lines[ix] = new_line;
             self.valid.set(ix);
+            self.link(ix, pid);
             return None;
         }
         // Evict the LRU way.
@@ -325,6 +375,10 @@ impl SharedUtlbCache {
             .min_by_key(|&ix| self.lines[ix].last_use)
             .expect("set has at least one way");
         let victim = std::mem::replace(&mut self.lines[victim_ix], new_line);
+        if victim.pid != pid {
+            self.unlink(victim_ix, victim.pid);
+            self.link(victim_ix, pid);
+        }
         self.stats.evictions += 1;
         Some(Evicted {
             pid: victim.pid,
@@ -341,6 +395,7 @@ impl SharedUtlbCache {
         for ix in base..base + self.ways {
             if self.valid.get(ix) && self.lines[ix].pid == pid && self.lines[ix].vpn == vpn {
                 self.valid.clear(ix);
+                self.unlink(ix, pid);
                 return true;
             }
         }
@@ -348,14 +403,14 @@ impl SharedUtlbCache {
     }
 
     /// Removes every line belonging to `pid` (process exit). Returns the
-    /// number of lines dropped.
+    /// number of lines dropped. Walks only `pid`'s own lines.
     pub fn invalidate_process(&mut self, pid: ProcessId) -> usize {
         let mut dropped = 0;
-        for ix in 0..self.lines.len() {
-            if self.valid.get(ix) && self.lines[ix].pid == pid {
-                self.valid.clear(ix);
-                dropped += 1;
-            }
+        let mut ix = self.heads.remove(&pid).unwrap_or(NIL);
+        while ix != NIL {
+            self.valid.clear(ix as usize);
+            ix = self.links[ix as usize][1];
+            dropped += 1;
         }
         dropped
     }
@@ -368,9 +423,13 @@ impl SharedUtlbCache {
     /// Number of valid lines belonging to `pid` — the per-process share of
     /// the shared cache an observability export reports.
     pub fn occupancy_for(&self, pid: ProcessId) -> usize {
-        (0..self.lines.len())
-            .filter(|&ix| self.valid.get(ix) && self.lines[ix].pid == pid)
-            .count()
+        let mut held = 0;
+        let mut ix = self.heads.get(&pid).copied().unwrap_or(NIL);
+        while ix != NIL {
+            ix = self.links[ix as usize][1];
+            held += 1;
+        }
+        held
     }
 }
 
@@ -530,6 +589,29 @@ mod tests {
         assert_eq!(c.occupancy(), 10);
         assert_eq!(c.peek(pid(2), page(3)), Some(pa(3)));
         assert_eq!(c.peek(pid(1), page(3)), None);
+    }
+
+    #[test]
+    fn invalidate_process_after_cross_process_evictions() {
+        let mut c = SharedUtlbCache::new(CacheConfig {
+            entries: 4,
+            associativity: Associativity::Direct,
+            offsetting: false,
+        });
+        for v in 0..4 {
+            c.insert(pid(1), page(v), pa(v));
+        }
+        // pid 2 takes over the lines of pid 1's pages 0 and 1.
+        c.insert(pid(2), page(4), pa(4));
+        c.insert(pid(2), page(5), pa(5));
+        assert_eq!((c.occupancy_for(pid(1)), c.occupancy_for(pid(2))), (2, 2));
+        assert!(c.invalidate(pid(1), page(2)));
+        assert_eq!(c.invalidate_process(pid(1)), 1);
+        assert_eq!(c.occupancy_for(pid(2)), 2);
+        assert_eq!(c.peek(pid(2), page(5)), Some(pa(5)));
+        assert_eq!(c.invalidate_process(pid(2)), 2);
+        assert_eq!(c.invalidate_process(pid(2)), 0);
+        assert_eq!(c.occupancy(), 0);
     }
 
     #[test]

@@ -735,8 +735,8 @@ impl Probe for TraceRecorder {
 pub struct ObsCollector {
     /// Counters and latency histograms.
     pub metrics: Metrics,
-    /// Last-events ring per process.
-    pub recorder: TraceRecorder,
+    /// Last-events ring per process; `None` for a metrics-only collector.
+    pub recorder: Option<TraceRecorder>,
 }
 
 impl ObsCollector {
@@ -744,7 +744,17 @@ impl ObsCollector {
     pub fn new(ring_capacity: usize) -> Self {
         ObsCollector {
             metrics: Metrics::new(),
-            recorder: TraceRecorder::new(ring_capacity),
+            recorder: Some(TraceRecorder::new(ring_capacity)),
+        }
+    }
+
+    /// A collector that keeps metrics and no event rings: for runs that
+    /// report only totals, where a ring per process would grow with the
+    /// number of processes ever seen.
+    pub fn metrics_only() -> Self {
+        ObsCollector {
+            metrics: Metrics::new(),
+            recorder: None,
         }
     }
 }
@@ -752,7 +762,9 @@ impl ObsCollector {
 impl Probe for ObsCollector {
     fn on_event(&mut self, pid: ProcessId, event: Event) {
         self.metrics.record(event);
-        self.recorder.record(pid, event);
+        if let Some(recorder) = &mut self.recorder {
+            recorder.record(pid, event);
+        }
     }
 }
 
@@ -770,6 +782,11 @@ impl SharedCollector {
     /// A fresh collector with the given per-process ring capacity.
     pub fn new(ring_capacity: usize) -> Self {
         SharedCollector(Rc::new(RefCell::new(ObsCollector::new(ring_capacity))))
+    }
+
+    /// A fresh [`ObsCollector::metrics_only`] collector.
+    pub fn metrics_only() -> Self {
+        SharedCollector(Rc::new(RefCell::new(ObsCollector::metrics_only())))
     }
 
     /// A boxed probe for an engine, sharing this collector.
@@ -1051,7 +1068,19 @@ mod tests {
         boxed.on_event(pid(3), Event::Lookup { ns: 900 });
         let snap = shared.snapshot();
         assert_eq!(snap.metrics.counts.pins, 1);
-        assert_eq!(snap.recorder.events(pid(3)).len(), 2);
+        assert_eq!(snap.recorder.expect("ring kept").events(pid(3)).len(), 2);
+    }
+
+    #[test]
+    fn metrics_only_collector_counts_without_rings() {
+        let shared = SharedCollector::metrics_only();
+        let mut boxed = shared.boxed();
+        boxed.on_event(pid(3), Event::Pin { run: 1, ns: 27_000 });
+        boxed.on_event(pid(4), Event::Lookup { ns: 900 });
+        let snap = shared.snapshot();
+        assert_eq!(snap.metrics.counts.pins, 1);
+        assert_eq!(snap.metrics.counts.lookups, 1);
+        assert!(snap.recorder.is_none());
     }
 
     #[test]

@@ -6,6 +6,9 @@
 //! drives both through random geometries and operation sequences, asserting
 //! every observable — hit/miss results, eviction identities, invalidation
 //! results, probe/hit/miss/eviction counters, occupancy — stays identical.
+//! The per-process line lists behind `invalidate_process` and
+//! `occupancy_for` are checked the same way: every process' share is
+//! compared after every step, while evictions move lines between processes.
 
 use proptest::prelude::*;
 use utlb_core::{Associativity, CacheConfig, CacheStats, Evicted, SharedUtlbCache};
@@ -145,6 +148,15 @@ impl RefCache {
             .map(|s| s.iter().filter(|l| l.is_some()).count())
             .sum()
     }
+
+    fn occupancy_for(&self, pid: ProcessId) -> usize {
+        self.sets
+            .iter()
+            .flatten()
+            .flatten()
+            .filter(|l| l.pid == pid)
+            .count()
+    }
 }
 
 fn any_assoc() -> impl Strategy<Value = Associativity> {
@@ -213,6 +225,10 @@ proptest! {
             }
             prop_assert_eq!(flat.stats(), reference.stats);
             prop_assert_eq!(flat.occupancy(), reference.occupancy());
+            for other in 0..5 {
+                let other = ProcessId::new(other);
+                prop_assert_eq!(flat.occupancy_for(other), reference.occupancy_for(other));
+            }
             prop_assert_eq!(flat.peek(pid, page), {
                 let six = reference.set_index(pid, page);
                 reference.sets[six]

@@ -1,7 +1,6 @@
 //! Physical frame identifiers and the frame allocator.
 
 use crate::{MemError, PhysAddr, Result, PAGE_SHIFT};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Identifier of one physical page frame.
@@ -31,16 +30,23 @@ impl fmt::Display for FrameId {
     }
 }
 
-/// A simple physical frame allocator.
+/// A physical frame allocator.
 ///
-/// Frames are handed out from a bump pointer; freed frames go to an ordered
-/// free set and are reused lowest-first so allocation patterns are
-/// deterministic — important for reproducible simulation runs.
+/// Frames are handed out from a bump pointer; freed frames are marked in a
+/// free bitmap and reused lowest-first so allocation patterns are
+/// deterministic — important for reproducible simulation runs. The bitmap
+/// covers only frames below the bump pointer and grows as frames are freed,
+/// so a host with gigabytes of simulated DRAM costs nothing until it churns.
 #[derive(Debug, Clone)]
 pub struct FrameAllocator {
     total: u64,
     next_fresh: u64,
-    free: BTreeSet<u64>,
+    /// Bit `f % 64` of word `f / 64` is set while frame `f` is free.
+    free: Vec<u64>,
+    free_count: u64,
+    /// Every word of `free` below this index is zero, so the lowest free
+    /// frame is found by scanning forward from here.
+    cursor: usize,
 }
 
 impl FrameAllocator {
@@ -49,7 +55,9 @@ impl FrameAllocator {
         FrameAllocator {
             total,
             next_fresh: 0,
-            free: BTreeSet::new(),
+            free: Vec::new(),
+            free_count: 0,
+            cursor: 0,
         }
     }
 
@@ -60,7 +68,7 @@ impl FrameAllocator {
 
     /// Number of frames currently allocated.
     pub fn allocated_frames(&self) -> u64 {
-        self.next_fresh - self.free.len() as u64
+        self.next_fresh - self.free_count
     }
 
     /// Number of frames still available.
@@ -68,15 +76,24 @@ impl FrameAllocator {
         self.total - self.allocated_frames()
     }
 
-    /// Allocates one frame.
+    /// Allocates one frame: the lowest freed frame if there is one, else
+    /// the next never-allocated frame.
     ///
     /// # Errors
     ///
     /// Returns [`MemError::OutOfFrames`] when all frames are in use.
     pub fn alloc(&mut self) -> Result<FrameId> {
-        if let Some(&lowest) = self.free.iter().next() {
-            self.free.remove(&lowest);
-            return Ok(FrameId(lowest));
+        if self.free_count > 0 {
+            // A free bit exists at or above the cursor, so the scan stops
+            // inside the bitmap.
+            while self.free[self.cursor] == 0 {
+                self.cursor += 1;
+            }
+            let word = &mut self.free[self.cursor];
+            let bit = u64::from(word.trailing_zeros());
+            *word &= *word - 1;
+            self.free_count -= 1;
+            return Ok(FrameId(self.cursor as u64 * 64 + bit));
         }
         if self.next_fresh < self.total {
             let id = self.next_fresh;
@@ -98,8 +115,15 @@ impl FrameAllocator {
             frame.0 < self.next_fresh,
             "freeing frame {frame} that was never allocated"
         );
-        let fresh = self.free.insert(frame.0);
-        assert!(fresh, "double free of frame {frame}");
+        let word = (frame.0 / 64) as usize;
+        let mask = 1u64 << (frame.0 % 64);
+        if word >= self.free.len() {
+            self.free.resize(word + 1, 0);
+        }
+        assert!(self.free[word] & mask == 0, "double free of frame {frame}");
+        self.free[word] |= mask;
+        self.free_count += 1;
+        self.cursor = self.cursor.min(word);
     }
 }
 
@@ -140,6 +164,26 @@ mod tests {
         let f = a.alloc().unwrap();
         a.free(f);
         a.free(f);
+    }
+
+    #[test]
+    fn reuse_scans_across_bitmap_words() {
+        let mut a = FrameAllocator::new(256);
+        let frames: Vec<FrameId> = (0..200).map(|_| a.alloc().unwrap()).collect();
+        for n in [190, 70, 5, 64] {
+            a.free(frames[n]);
+        }
+        let got: Vec<u64> = (0..5).map(|_| a.alloc().unwrap().number()).collect();
+        assert_eq!(got, [5, 64, 70, 190, 200]);
+        assert_eq!(a.allocated_frames(), 201);
+    }
+
+    #[test]
+    #[should_panic(expected = "never allocated")]
+    fn free_of_never_allocated_frame_panics() {
+        let mut a = FrameAllocator::new(8);
+        a.alloc().unwrap();
+        a.free(FrameId::new(1));
     }
 
     #[test]

@@ -2,10 +2,9 @@
 
 use crate::space::PageSlot;
 use crate::{
-    HostDriver, MemError, PhysicalMemory, PinnedPage, Process, ProcessId, Result, SwapDevice,
-    VirtPage, PAGE_SIZE,
+    HostDriver, IntMap, MemError, PhysicalMemory, PinnedPage, Process, ProcessId, Result,
+    SwapDevice, VirtPage, PAGE_SIZE,
 };
-use std::collections::BTreeMap;
 
 /// One simulated host machine.
 ///
@@ -18,7 +17,9 @@ pub struct Host {
     phys: PhysicalMemory,
     driver: HostDriver,
     swap: SwapDevice,
-    processes: BTreeMap<ProcessId, Process>,
+    /// Live processes, hashed: every pin probes this table, and only
+    /// [`Host::process_ids`] lists it, sorted.
+    processes: IntMap<ProcessId, Process>,
     next_pid: u32,
 }
 
@@ -36,7 +37,7 @@ impl Host {
             phys,
             driver,
             swap: SwapDevice::new(),
-            processes: BTreeMap::new(),
+            processes: IntMap::default(),
             next_pid: 1,
         }
     }
@@ -61,10 +62,12 @@ impl Host {
             .remove(&pid)
             .ok_or(MemError::UnknownProcess(pid))?;
         self.driver.pins_mut().release_process(pid);
-        let pages: Vec<VirtPage> = process.space().iter().map(|(p, _)| p).collect();
-        for page in pages {
-            if let Some(block) = process.space_mut().unmap(page, &mut self.phys) {
-                let _ = self.swap.load(block); // discard the orphaned block
+        for slot in process.space_mut().drain_slots() {
+            match slot {
+                PageSlot::Resident(frame) => self.phys.free_frame(frame),
+                PageSlot::Swapped(block) => {
+                    let _ = self.swap.load(block); // discard the orphaned block
+                }
             }
         }
         Ok(())
@@ -114,14 +117,7 @@ impl Host {
             .processes
             .get_mut(&pid)
             .ok_or(MemError::UnknownProcess(pid))?;
-        let Some(PageSlot::Swapped(block)) = process.space().slot(page) else {
-            return Ok(false);
-        };
-        let bytes = self.swap.load(block)?;
-        let frame = self.phys.alloc_frame()?;
-        self.phys.write(frame.base(), &bytes)?;
-        process.space_mut().mark_resident(page, frame);
-        Ok(true)
+        swap_in(&mut self.phys, &mut self.swap, process, page)
     }
 
     /// Immutable access to a process.
@@ -147,9 +143,11 @@ impl Host {
         Ok(ProcessHandle { host: self, pid })
     }
 
-    /// Ids of all live processes.
+    /// Ids of all live processes, ascending.
     pub fn process_ids(&self) -> Vec<ProcessId> {
-        self.processes.keys().copied().collect()
+        let mut pids: Vec<ProcessId> = self.processes.keys().copied().collect();
+        pids.sort_unstable();
+        pids
     }
 
     /// Immutable physical memory.
@@ -196,15 +194,15 @@ impl Host {
         start: VirtPage,
         count: u64,
     ) -> Result<Vec<PinnedPage>> {
-        // Fault any paged-out pages back in first — pinning locks frames,
-        // so the contents must be resident before the lock.
-        for page in start.range(count) {
-            self.ensure_resident(pid, page)?;
-        }
         let process = self
             .processes
             .get_mut(&pid)
             .ok_or(MemError::UnknownProcess(pid))?;
+        // Fault any paged-out pages back in first — pinning locks frames,
+        // so the contents must be resident before the lock.
+        for page in start.range(count) {
+            swap_in(&mut self.phys, &mut self.swap, process, page)?;
+        }
         self.driver
             .pin_and_translate(process, &mut self.phys, start, count)
     }
@@ -217,6 +215,25 @@ impl Host {
     pub fn driver_unpin(&mut self, pid: ProcessId, page: VirtPage) -> Result<()> {
         self.driver.unpin(pid, page)
     }
+}
+
+/// Brings `page` of `process` back from the swap device into a fresh frame
+/// if it is paged out (the page-fault path). Returns `true` if a swap-in
+/// happened.
+fn swap_in(
+    phys: &mut PhysicalMemory,
+    swap: &mut SwapDevice,
+    process: &mut Process,
+    page: VirtPage,
+) -> Result<bool> {
+    let Some(PageSlot::Swapped(block)) = process.space().slot(page) else {
+        return Ok(false);
+    };
+    let bytes = swap.load(block)?;
+    let frame = phys.alloc_frame()?;
+    phys.write(frame.base(), &bytes)?;
+    process.space_mut().mark_resident(page, frame);
+    Ok(true)
 }
 
 /// A short-lived view pairing one process with the host's physical memory,

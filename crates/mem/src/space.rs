@@ -1,9 +1,9 @@
 //! Per-process virtual address spaces with OS-style page tables.
 
 use crate::{
-    BlockId, FrameId, MemError, PhysAddr, PhysicalMemory, Result, VirtAddr, VirtPage, PAGE_SIZE,
+    BlockId, FrameId, IntMap, MemError, PhysAddr, PhysicalMemory, Result, VirtAddr, VirtPage,
+    PAGE_SIZE,
 };
-use std::collections::BTreeMap;
 
 /// Where a mapped page's contents currently live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,16 +22,20 @@ pub enum PageSlot {
 /// *OS* always knows the translation; the point of the paper is making the
 /// translation available to the *network interface* without kernel entries on
 /// the data path.
+///
+/// The table is hashed: a demand pin probes it once per page, and nothing
+/// but the sorted [`iter`](Self::iter) and
+/// [`resident_pages`](Self::resident_pages) walks it in any order.
 #[derive(Debug)]
 pub struct AddressSpace {
-    table: BTreeMap<VirtPage, PageSlot>,
+    table: IntMap<VirtPage, PageSlot>,
 }
 
 impl AddressSpace {
     /// Creates an empty address space.
     pub fn new() -> Self {
         AddressSpace {
-            table: BTreeMap::new(),
+            table: IntMap::default(),
         }
     }
 
@@ -103,17 +107,29 @@ impl AddressSpace {
         self.table.len()
     }
 
-    /// Iterates over all (page, slot) mappings in page order.
-    pub fn iter(&self) -> impl Iterator<Item = (VirtPage, PageSlot)> + '_ {
-        self.table.iter().map(|(p, s)| (*p, *s))
+    /// Iterates over all (page, slot) mappings in page order. Sorts a copy
+    /// of the table: a cold path for inspection and tests.
+    pub fn iter(&self) -> impl Iterator<Item = (VirtPage, PageSlot)> {
+        let mut slots: Vec<(VirtPage, PageSlot)> =
+            self.table.iter().map(|(p, s)| (*p, *s)).collect();
+        slots.sort_unstable_by_key(|(p, _)| *p);
+        slots.into_iter()
     }
 
     /// Resident pages of this space, in page order.
-    pub fn resident_pages(&self) -> impl Iterator<Item = (VirtPage, FrameId)> + '_ {
-        self.table.iter().filter_map(|(p, s)| match s {
-            PageSlot::Resident(f) => Some((*p, *f)),
+    pub fn resident_pages(&self) -> impl Iterator<Item = (VirtPage, FrameId)> {
+        self.iter().filter_map(|(p, s)| match s {
+            PageSlot::Resident(f) => Some((p, f)),
             PageSlot::Swapped(_) => None,
         })
+    }
+
+    /// Empties the space, yielding every slot in no particular order.
+    /// Process exit frees each frame and discards each swap block; the
+    /// allocator reuses frames lowest-first, so neither the free pool nor
+    /// the swap device after the exit depends on that order.
+    pub(crate) fn drain_slots(&mut self) -> impl Iterator<Item = PageSlot> + '_ {
+        self.table.drain().map(|(_, s)| s)
     }
 
     /// Translates a byte address, mapping its page on demand.

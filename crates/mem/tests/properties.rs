@@ -1,10 +1,10 @@
 //! Property-based tests of the host-memory substrate invariants.
 
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use utlb_mem::{
-    AddressSpace, FrameAllocator, FrameId, Host, MemError, PhysAddr, PhysicalMemory, PinRegistry,
-    PinStats, ProcessId, VirtAddr, VirtPage, PAGE_SIZE,
+    AddressSpace, BlockId, FrameAllocator, FrameId, Host, MemError, PageSlot, PhysAddr,
+    PhysicalMemory, PinRegistry, PinStats, ProcessId, VirtAddr, VirtPage, PAGE_SIZE,
 };
 
 /// The flat-map pin registry the per-process one replaced, kept verbatim as
@@ -441,4 +441,330 @@ proptest! {
         mem.read(PhysAddr::new(0), &mut all).unwrap();
         prop_assert_eq!(all, model.read(0, (REF_FRAMES * PAGE_SIZE) as usize));
     }
+}
+
+/// The ordered-set frame allocator the free bitmap replaced, kept verbatim
+/// as the reference: freed frames in a `BTreeSet`, reused lowest-first.
+#[derive(Debug)]
+struct BTreeFrameAllocator {
+    total: u64,
+    next_fresh: u64,
+    free: BTreeSet<u64>,
+}
+
+impl BTreeFrameAllocator {
+    fn new(total: u64) -> Self {
+        BTreeFrameAllocator {
+            total,
+            next_fresh: 0,
+            free: BTreeSet::new(),
+        }
+    }
+
+    fn allocated_frames(&self) -> u64 {
+        self.next_fresh - self.free.len() as u64
+    }
+
+    fn free_frames(&self) -> u64 {
+        self.total - self.allocated_frames()
+    }
+
+    fn alloc(&mut self) -> Result<FrameId, MemError> {
+        if let Some(&lowest) = self.free.iter().next() {
+            self.free.remove(&lowest);
+            return Ok(FrameId::new(lowest));
+        }
+        if self.next_fresh < self.total {
+            let id = self.next_fresh;
+            self.next_fresh += 1;
+            Ok(FrameId::new(id))
+        } else {
+            Err(MemError::OutOfFrames)
+        }
+    }
+
+    fn free(&mut self, frame: FrameId) {
+        assert!(
+            frame.number() < self.next_fresh,
+            "freeing frame {frame} that was never allocated"
+        );
+        let fresh = self.free.insert(frame.number());
+        assert!(fresh, "double free of frame {frame}");
+    }
+}
+
+/// The ordered-map page table the hashed one replaced, kept as the
+/// reference, over the reference allocator.
+#[derive(Debug, Default)]
+struct BTreeSpace(BTreeMap<VirtPage, PageSlot>);
+
+impl BTreeSpace {
+    fn translate_or_map(
+        &mut self,
+        page: VirtPage,
+        alloc: &mut BTreeFrameAllocator,
+    ) -> Result<FrameId, MemError> {
+        match self.0.get(&page) {
+            Some(PageSlot::Resident(f)) => return Ok(*f),
+            Some(PageSlot::Swapped(_)) => return Err(MemError::SwappedOut { page }),
+            None => {}
+        }
+        let frame = alloc.alloc()?;
+        self.0.insert(page, PageSlot::Resident(frame));
+        Ok(frame)
+    }
+
+    fn unmap(&mut self, page: VirtPage, alloc: &mut BTreeFrameAllocator) -> Option<BlockId> {
+        match self.0.remove(&page) {
+            Some(PageSlot::Resident(frame)) => {
+                alloc.free(frame);
+                None
+            }
+            Some(PageSlot::Swapped(block)) => Some(block),
+            None => None,
+        }
+    }
+
+    fn mark_swapped(&mut self, page: VirtPage, block: BlockId) {
+        self.0.insert(page, PageSlot::Swapped(block));
+    }
+
+    fn mark_resident(&mut self, page: VirtPage, frame: FrameId) {
+        self.0.insert(page, PageSlot::Resident(frame));
+    }
+
+    fn slots(&self) -> Vec<(VirtPage, PageSlot)> {
+        self.0.iter().map(|(p, s)| (*p, *s)).collect()
+    }
+}
+
+/// The reference host: two processes' `BTreeSpace`s over one reference
+/// allocator, with swap blocks numbered in store order like the device's.
+struct RefHost {
+    alloc: BTreeFrameAllocator,
+    spaces: [BTreeSpace; 2],
+    next_block: u64,
+    blocks: BTreeSet<BlockId>,
+}
+
+impl RefHost {
+    fn new(total_frames: u64) -> Self {
+        let mut alloc = BTreeFrameAllocator::new(total_frames);
+        alloc.alloc().expect("the garbage frame");
+        RefHost {
+            alloc,
+            spaces: Default::default(),
+            next_block: 0,
+            blocks: BTreeSet::new(),
+        }
+    }
+
+    /// `Host::ensure_resident`.
+    fn fault_in(&mut self, p: usize, page: VirtPage) -> Result<bool, MemError> {
+        let Some(&PageSlot::Swapped(block)) = self.spaces[p].0.get(&page) else {
+            return Ok(false);
+        };
+        assert!(self.blocks.remove(&block));
+        let frame = self.alloc.alloc()?;
+        self.spaces[p].mark_resident(page, frame);
+        Ok(true)
+    }
+
+    /// `ProcessHandle::write` of one byte into `page`.
+    fn touch(&mut self, p: usize, page: VirtPage) -> Result<(), MemError> {
+        self.fault_in(p, page)?;
+        self.spaces[p]
+            .translate_or_map(page, &mut self.alloc)
+            .map(|_| ())
+    }
+
+    /// `Host::reclaim_page` of an unpinned page.
+    fn reclaim(&mut self, p: usize, page: VirtPage) -> bool {
+        let Some(&PageSlot::Resident(frame)) = self.spaces[p].0.get(&page) else {
+            return false;
+        };
+        let block = BlockId::new(self.next_block);
+        self.next_block += 1;
+        self.blocks.insert(block);
+        self.alloc.free(frame);
+        self.spaces[p].mark_swapped(page, block);
+        true
+    }
+
+    /// `Host::kill_process`, page by page in page order.
+    fn kill(&mut self, p: usize) {
+        let pages: Vec<VirtPage> = self.spaces[p].0.keys().copied().collect();
+        for page in pages {
+            if let Some(block) = self.spaces[p].unmap(page, &mut self.alloc) {
+                assert!(self.blocks.remove(&block));
+            }
+        }
+    }
+}
+
+/// One step of a paging differential run on process slot 0 or 1.
+#[derive(Debug, Clone)]
+enum PageOp {
+    Touch(usize, u64),
+    Reclaim(usize, u64),
+    FaultIn(usize, u64),
+    /// Kills the process in the slot and spawns a fresh one into it.
+    Respawn(usize),
+}
+
+fn page_op() -> impl Strategy<Value = PageOp> {
+    (0u8..12, 0usize..2, 0u64..24).prop_map(|(tag, p, page)| match tag {
+        0..=4 => PageOp::Touch(p, page),
+        5..=7 => PageOp::Reclaim(p, page),
+        8..=10 => PageOp::FaultIn(p, page),
+        _ => PageOp::Respawn(p),
+    })
+}
+
+/// One step of an address-space differential run.
+#[derive(Debug, Clone)]
+enum SpaceOp {
+    Map(u64),
+    Unmap(u64),
+}
+
+/// Maps outnumber unmaps three to one, so the space fills and DRAM runs
+/// out.
+fn space_op() -> impl Strategy<Value = SpaceOp> {
+    (0u8..4, 0u64..200).prop_map(|(tag, vpn)| match tag {
+        0 => SpaceOp::Unmap(vpn),
+        _ => SpaceOp::Map(vpn),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The free-bitmap allocator returns the same frame as the ordered-set
+    /// reference on every allocation, and agrees on the allocated and free
+    /// counts after every step, over allocator sizes spanning several
+    /// bitmap words and frees in arbitrary order.
+    #[test]
+    fn bitmap_allocator_matches_btreeset_reference(
+        total in 1u64..300,
+        ops in proptest::collection::vec((any::<bool>(), any::<usize>()), 1..600),
+    ) {
+        let mut bitmap = FrameAllocator::new(total);
+        let mut reference = BTreeFrameAllocator::new(total);
+        let mut live: Vec<FrameId> = Vec::new();
+        for (want_alloc, n) in ops {
+            if want_alloc || live.is_empty() {
+                let got = bitmap.alloc();
+                prop_assert_eq!(got, reference.alloc());
+                if let Ok(f) = got {
+                    live.push(f);
+                }
+            } else {
+                let f = live.swap_remove(n % live.len());
+                bitmap.free(f);
+                reference.free(f);
+            }
+            prop_assert_eq!(bitmap.allocated_frames(), reference.allocated_frames());
+            prop_assert_eq!(bitmap.free_frames(), reference.free_frames());
+        }
+    }
+
+    /// The hashed address space agrees with the ordered-map reference on
+    /// every translation, unmap result and mapped-page count, and yields
+    /// the same mappings in the same page order, over demand maps and
+    /// unmaps that run the shared DRAM dry.
+    #[test]
+    fn address_space_matches_btreemap_reference(
+        ops in proptest::collection::vec(space_op(), 1..300),
+    ) {
+        let frames = 96;
+        let mut phys = PhysicalMemory::new(frames);
+        let mut space = AddressSpace::new();
+        let mut alloc = BTreeFrameAllocator::new(frames);
+        let mut reference = BTreeSpace::default();
+        for op in ops {
+            match op {
+                SpaceOp::Map(vpn) => {
+                    let page = VirtPage::new(vpn);
+                    prop_assert_eq!(
+                        space.translate_or_map(page, &mut phys),
+                        reference.translate_or_map(page, &mut alloc)
+                    );
+                }
+                SpaceOp::Unmap(vpn) => {
+                    let page = VirtPage::new(vpn);
+                    prop_assert_eq!(
+                        space.unmap(page, &mut phys),
+                        reference.unmap(page, &mut alloc)
+                    );
+                }
+            }
+            prop_assert_eq!(space.iter().collect::<Vec<_>>(), reference.slots());
+            prop_assert_eq!(space.mapped_pages(), reference.0.len());
+            prop_assert_eq!(phys.allocator().free_frames(), alloc.free_frames());
+        }
+    }
+
+    /// A host's page tables agree with the ordered-map reference through
+    /// demand maps, reclaim to swap (`mark_swapped`), swap-in
+    /// (`mark_resident`) and process exit: every result, every slot in
+    /// page order, the free-frame count and the swap device's block count
+    /// match after every step.
+    #[test]
+    fn host_paging_matches_btreemap_reference(
+        ops in proptest::collection::vec(page_op(), 1..200),
+    ) {
+        let frames = 40;
+        let mut host = Host::new(frames);
+        let mut pids = [host.spawn_process(), host.spawn_process()];
+        let mut reference = RefHost::new(frames);
+        for op in ops {
+            match op {
+                PageOp::Touch(p, vpn) => {
+                    let va = VirtAddr::new(vpn * PAGE_SIZE + 7);
+                    let got = host.process_mut(pids[p]).unwrap().write(va, &[1]);
+                    prop_assert_eq!(got, reference.touch(p, VirtPage::new(vpn)));
+                }
+                PageOp::Reclaim(p, vpn) => {
+                    let page = VirtPage::new(vpn);
+                    prop_assert_eq!(
+                        host.reclaim_page(pids[p], page),
+                        Ok(reference.reclaim(p, page))
+                    );
+                }
+                PageOp::FaultIn(p, vpn) => {
+                    let page = VirtPage::new(vpn);
+                    prop_assert_eq!(
+                        host.ensure_resident(pids[p], page),
+                        reference.fault_in(p, page)
+                    );
+                }
+                PageOp::Respawn(p) => {
+                    host.kill_process(pids[p]).unwrap();
+                    reference.kill(p);
+                    pids[p] = host.spawn_process();
+                }
+            }
+            for (pid, model) in pids.iter().zip(&reference.spaces) {
+                let space = host.process(*pid).unwrap().space();
+                prop_assert_eq!(space.iter().collect::<Vec<_>>(), model.slots());
+            }
+            prop_assert_eq!(
+                host.physical().allocator().free_frames(),
+                reference.alloc.free_frames()
+            );
+            prop_assert_eq!(host.swap_mut().resident_blocks(), reference.blocks.len());
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "double free")]
+fn bitmap_allocator_panics_on_double_free_across_words() {
+    let mut a = FrameAllocator::new(200);
+    let frames: Vec<FrameId> = (0..150).map(|_| a.alloc().unwrap()).collect();
+    a.free(frames[140]);
+    a.free(frames[3]);
+    assert_eq!(a.alloc().unwrap(), frames[3]);
+    a.free(frames[140]);
 }

@@ -9,7 +9,7 @@
 //! `run_all --obs` serializes to `results/obs_<experiment>.json`.
 
 use serde::{Deserialize, Serialize};
-use utlb_core::obs::{Metrics, ProcessTrace, SharedCollector};
+use utlb_core::obs::{Metrics, ProcessTrace, SharedCollector, TraceRecorder};
 use utlb_core::TranslationStats;
 use utlb_nic::BoardSnapshot;
 
@@ -38,15 +38,13 @@ pub struct ObsReport {
     pub mismatches: Vec<String>,
 }
 
-/// Per-process event-ring capacity of the per-board collectors whose
-/// metrics a cluster run keeps in its result cells.
-const CELL_RING: usize = 32;
-
 /// The collectors a run attaches to its boards, and what it keeps of them.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Collect {
-    /// One collector per board, kept as the board's result-cell metrics
-    /// (`.cluster()` runs).
+    /// One metrics-only collector per board, kept as the board's
+    /// result-cell metrics (`.cluster()` runs). It keeps no event rings:
+    /// a cell reports none, and a churning cluster would grow one per
+    /// connection ever seen.
     Cells,
     /// One collector with this ring capacity on the run's one board, kept
     /// whole as the run's [`ObsReport`] (`.observed()` runs).
@@ -56,16 +54,15 @@ pub(crate) enum Collect {
 impl Collect {
     /// A fresh collector for one board.
     pub(crate) fn collector(self) -> SharedCollector {
-        SharedCollector::new(match self {
-            Collect::Cells => CELL_RING,
-            Collect::Report(ring) => ring,
-        })
+        match self {
+            Collect::Cells => SharedCollector::metrics_only(),
+            Collect::Report(ring) => SharedCollector::new(ring),
+        }
     }
 
     /// What one board's collector leaves behind: its metrics and whether
     /// they reconcile with the board's `stats`, plus — when the run asked
-    /// for one — the full report. A cell keeps only the metrics, so its
-    /// event rings are never copied out.
+    /// for one — the full report.
     pub(crate) fn finish(
         self,
         collector: &SharedCollector,
@@ -82,7 +79,11 @@ impl Collect {
             workload: workload.to_string(),
             metrics: snap.metrics.clone(),
             board,
-            traces: snap.recorder.dump(),
+            traces: snap
+                .recorder
+                .as_ref()
+                .map(TraceRecorder::dump)
+                .unwrap_or_default(),
             reconciled,
             mismatches,
         });

@@ -75,7 +75,8 @@ pub enum RunError {
     /// with `.des()`). The message says which and what to drop.
     IncompatibleConfig(&'static str),
     /// The input shape does not fit the configured run (e.g. a trace fed
-    /// to a frontend run, or [`Live`] without `.frontend(cfg)`).
+    /// to a frontend run, or [`Live`] without `.frontend(cfg)`), or a
+    /// trace's pids are not dense from 1.
     IncompatibleInput(&'static str),
     /// The output was read as a shape the run did not produce (e.g.
     /// `.into_sim()` on a cluster run).
@@ -217,8 +218,9 @@ impl Run {
     /// Returns a [`RunError`] on builder misuse: no mechanism
     /// ([`Run::with_config`] runs need [`execute_with`](Run::execute_with)),
     /// an incompatible option combination, a frontend shape
-    /// [`FrontendConfig::validate`] rejects, or an input shape the
-    /// configured run cannot consume.
+    /// [`FrontendConfig::validate`] rejects, an input shape the
+    /// configured run cannot consume, or a trace whose pids are not dense
+    /// from 1.
     ///
     /// # Panics
     ///
@@ -440,14 +442,25 @@ impl<M: TranslationMechanism + ?Sized> StreamVisitor for Exec<'_, '_, M> {
                 "a frontend run generates its own requests: execute(Live), not a trace",
             ));
         }
+        let pids = stream.process_ids();
+        if pids
+            .iter()
+            .zip(1u32..)
+            .any(|(pid, expected)| pid.raw() != expected)
+        {
+            return Err(RunError::IncompatibleInput(
+                "the trace's pids must be dense from 1 (pid 1, 2, ..., n)",
+            ));
+        }
         if let Some(c) = &run.cluster {
-            check_placement(c, &stream.process_ids())?;
+            check_placement(c, &pids)?;
         }
         let one_board = ClusterConfig::new(1);
         let topology = run.cluster.as_ref().unwrap_or(&one_board);
         let mut replayed = replay(
             self.engines,
             stream,
+            pids,
             &run.cfg,
             topology,
             run.overlay().as_ref(),
@@ -806,6 +819,35 @@ mod tests {
     }
 
     #[test]
+    fn non_dense_pids_are_a_typed_error() {
+        let sim = SimConfig::study(256);
+        for pids in [&[3u32][..], &[0], &[1, 3]] {
+            let records = pids
+                .iter()
+                .map(|&pid| utlb_trace::TraceRecord {
+                    ts_ns: 0,
+                    pid: ProcessId::new(pid),
+                    op: utlb_trace::Op::Send,
+                    va: utlb_mem::VirtAddr::new(0x4000),
+                    nbytes: 64,
+                })
+                .collect();
+            let trace = Trace::new("outside", 1, records);
+            for run in [
+                Run::new(Mechanism::Utlb).config(&sim),
+                Run::new(Mechanism::Intr)
+                    .config(&sim)
+                    .cluster(ClusterConfig::new(2)),
+            ] {
+                assert!(
+                    matches!(run.execute(&trace), Err(RunError::IncompatibleInput(_))),
+                    "pids {pids:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn execute_with_uses_the_supplied_engine() {
         let trace = tiny();
         let sim = SimConfig::study(256);
@@ -831,6 +873,37 @@ mod tests {
             .unwrap();
         assert!(obs.reconciled, "mismatches: {:?}", obs.mismatches);
         assert_eq!(obs.metrics.counts.lookups, r.stats.lookups);
+        assert!(!obs.traces.is_empty(), "an observed run keeps its rings");
+    }
+
+    #[test]
+    fn cluster_cells_keep_no_event_rings_and_reconcile() {
+        let sim = SimConfig::study(128);
+        let fcfg = FrontendConfig {
+            connections: 200,
+            open_window: 8,
+            requests_per_conn: 2,
+            ..FrontendConfig::default()
+        };
+        let run = Run::new(Mechanism::Intr)
+            .config(&sim)
+            .frontend(fcfg)
+            .cluster(ClusterConfig::new(2));
+        let collect = run.collect().expect("a cluster collects per board");
+        assert!(
+            collect.collector().snapshot().recorder.is_none(),
+            "a result cell's collector keeps no event rings"
+        );
+        let r = run.execute(Live).into_cluster_frontend().unwrap();
+        assert_eq!(r.accepted, 200);
+        for b in &r.boards {
+            assert!(b.reconciled, "board {} did not reconcile", b.board);
+            assert!(
+                b.metrics.counts.lookups > 0,
+                "board {} saw no lookups",
+                b.board
+            );
+        }
     }
 
     #[test]

@@ -209,10 +209,13 @@ impl Replayed {
 /// run hands in the generator stream directly, so their results are
 /// identical by construction, and replay memory is O(chunk) either way.
 ///
-/// The builder validates `topology` against the stream before calling.
+/// `pids` are the stream's processes, ascending. The builder checks that
+/// they are dense from 1 and validates `topology` against them before
+/// calling.
 pub(crate) fn replay<M, S>(
     engines: Vec<&mut M>,
     stream: &mut S,
+    pids: Vec<ProcessId>,
     cfg: &SimConfig,
     topology: &ClusterConfig,
     des: Option<&DesConfig>,
@@ -224,7 +227,6 @@ where
 {
     let nodes = engines.len();
     let mut host = Host::new(cfg.host_frames);
-    let pids = stream.process_ids();
     let round_robin;
     let shard = match &topology.shard {
         Some(map) => map,

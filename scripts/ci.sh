@@ -50,10 +50,13 @@ cargo test -q --offline -p utlb-sim --test equivalence
 filtered_test -p utlb-core obs::
 filtered_test -p utlb-core mechanism::
 
-echo "== host-memory substrate: dense frame store and per-process pin registry"
+echo "== host-memory substrate: dense frame store, per-process pin registry, bitmap allocator, hashed page tables, per-process cache line lists"
 cargo test -q --offline -p utlb-mem --test properties
 filtered_test -p utlb-mem pin::
 filtered_test -p utlb-mem phys::
+filtered_test -p utlb-mem frame::
+filtered_test -p utlb-mem space::
+cargo test -q --offline -p utlb-core --test cache_reference
 
 echo "== four-mechanism unification: shared pin core and variant ablations"
 filtered_test -p utlb-core pincore::
