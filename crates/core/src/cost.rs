@@ -120,6 +120,43 @@ impl Default for CostModel {
 }
 
 impl CostModel {
+    /// Rejects a model the simulator cannot charge: a scalar cost that is
+    /// not a representable duration ([`Nanos::checked_from_micros`]), or a
+    /// calibration table with fewer than two points, page counts that are
+    /// not strictly increasing, or costs that are not representable
+    /// durations or that decrease — interpolation divides by the page gap
+    /// and extrapolates the last slope, so any of those yields a negative
+    /// or undefined charge.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        let duration = |us: f64| Nanos::checked_from_micros(us).is_some();
+        let scalars = [
+            self.user_check_us,
+            self.ni_check_us,
+            self.directory_ref_us,
+            self.interrupt_us,
+            self.syscall_overhead_us,
+        ];
+        if !scalars.into_iter().all(duration) {
+            return Err("a cost-model scalar is negative, not finite, or too large");
+        }
+        for points in [&self.dma_points, &self.pin_points, &self.unpin_points] {
+            if points.len() < 2 {
+                return Err("a cost calibration table needs at least two points");
+            }
+            if points.windows(2).any(|w| w[1].0 <= w[0].0) {
+                return Err("cost calibration page counts must be strictly increasing");
+            }
+            if !points.iter().all(|&(_, us)| duration(us))
+                || points.windows(2).any(|w| w[1].1 < w[0].1)
+            {
+                return Err(
+                    "cost calibration costs must be finite, non-negative and nondecreasing",
+                );
+            }
+        }
+        Ok(())
+    }
+
     /// Host bitmap-check cost for `npages`, best case (first probe decides).
     pub fn check_cost_min(&self, _npages: u64) -> f64 {
         0.2

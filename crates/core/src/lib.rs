@@ -90,7 +90,7 @@ pub use bitvec::{CheckOutcome, DenseBits, PinBitVector};
 pub use cache::{Associativity, CacheConfig, CacheStats, Evicted, SharedUtlbCache};
 pub use cost::{CostModel, LookupRates};
 pub use demand::{page_demands, page_demands_into, PageDemand};
-pub use engine::{LookupReport, PageOutcome, UtlbConfig, UtlbConfigBuilder, UtlbEngine};
+pub use engine::{LookupReport, PageOutcome, UtlbConfig, UtlbEngine};
 pub use error::UtlbError;
 pub use hier::{DirEntry, HierTable, DIR_ENTRIES, LEAF_ENTRIES};
 pub use indexed::{IndexedConfig, IndexedEngine};

@@ -7,25 +7,24 @@
 //! bus. This crate supplies the timing substrate under which load actually
 //! interferes:
 //!
-//! * [`EventQueue`] — a [`Nanos`]-keyed pending-event set, tie-broken by an
-//!   explicit key and then by insertion sequence, so replays are
-//!   reproducible byte for byte regardless of how the caller is threaded.
-//! * [`Resource`] — a named multi-server station with FIFO or priority
-//!   queueing and occupancy tracking; grants split each acquisition into
+//! * [`Resource`] — one named single-server station, first-come
+//!   first-served in admission order; grants split each acquisition into
 //!   *wait* (queueing delay) and *service* (the device's own cost), which
-//!   is exactly the split the paper's Table 2 numbers cannot show.
-//! * [`models`] — concrete stations for the I/O bus (per-transfer setup +
-//!   per-word bandwidth, fitted to Table 2), the NIC DMA engine, and host
-//!   interrupt service (dispatch latency + handler occupancy), plus the
-//!   [`DesConfig`] knob set — [`DesConfig::zero_contention`] reproduces the
-//!   serial cost model exactly, which `utlb-sim`'s equivalence tests pin.
+//!   is exactly the split the paper's Table 2 numbers cannot show. Given
+//!   the same admissions it returns the same grants, however the caller is
+//!   threaded.
+//! * [`DesConfig`] — the overlay's timing knobs: the I/O bus (per-transfer
+//!   setup + per-word bandwidth, fitted to Table 2), the host interrupt
+//!   dispatch latency, and the offered payload load.
+//!   [`DesConfig::zero_contention`] reproduces the serial cost model
+//!   exactly, which `utlb-sim`'s equivalence tests pin.
+//! * [`CreditWindow`] — per-connection credit-based admission control for
+//!   the request plane.
 //!
 //! The crate is deliberately free of simulation policy: it knows nothing
-//! about caches, pins, or traces. `utlb-sim::run_des` drives the real
-//! translation engines and routes their bus/DMA/interrupt demands through
-//! these stations.
+//! about caches, pins, or traces. `utlb-sim` drives the real translation
+//! engines and prices their bus/DMA/interrupt demands on these stations.
 //!
-//! [`Nanos`]: utlb_nic::Nanos
 //! [`DesConfig`]: models::DesConfig
 //! [`DesConfig::zero_contention`]: models::DesConfig::zero_contention
 
@@ -33,11 +32,9 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod admission;
-mod event;
 pub mod models;
 mod resource;
 
 pub use admission::{Admission, AdmissionOutcome, AdmissionStats, CreditWindow};
-pub use event::{EventQueue, Scheduled};
-pub use models::{DesConfig, DmaEngineModel, IntrServiceModel, IoBusModel};
-pub use resource::{Capacity, Discipline, Grant, Resource, ResourceReport, ResourceStats};
+pub use models::DesConfig;
+pub use resource::{Grant, Resource, ResourceReport, ResourceStats};

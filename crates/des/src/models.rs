@@ -1,144 +1,18 @@
-//! Concrete stations for the devices the paper's argument runs through,
-//! parameterized by the same Table 1/2 cost model the serial simulator
-//! charges.
+//! The timing knobs of the contention overlay, taken from the same
+//! Table 1/2 cost model the serial simulator charges.
 //!
 //! A translation-table fill is *setup-dominated* (Table 2: 1 entry ≈ 1.5 µs,
-//! 32 entries ≈ 2.5 µs), so the fill is modeled as two sequential phases on
-//! two stations: programming the DMA engine (the per-transfer `setup` cost)
-//! and moving the words across the I/O bus (the `per_word` bandwidth cost).
-//! The two service times sum exactly to `IoBus::dma_words`, which is what
-//! the serial cost model charges — with nothing else in flight the split is
-//! invisible, which is the zero-contention equivalence the `utlb-sim`
-//! test-suite pins. Host interrupt service is one station whose occupancy is
-//! the measured 10 µs dispatch plus however long the handler runs.
+//! 32 entries ≈ 2.5 µs), so `utlb-sim` prices a fill as two sequential
+//! phases on two [`Resource`](crate::Resource)s: programming the DMA engine
+//! for [`IoBus::setup`] and moving the words across the I/O bus at
+//! [`IoBus::per_word`]. The two service times sum exactly to
+//! [`IoBus::dma_words`], which is what the serial cost model charges — with
+//! nothing else in flight the split is invisible, which is the
+//! zero-contention equivalence the `utlb-sim` test-suite pins. A host
+//! interrupt occupies interrupt service for [`DesConfig::intr_dispatch`]
+//! plus however long its handler runs.
 
-use crate::resource::{Grant, Resource, ResourceReport};
 use utlb_nic::{IoBus, Nanos};
-
-/// The I/O bus as a station: serializes the *data phases* of translation
-/// fills and payload transfers at `per_word` bandwidth.
-#[derive(Debug, Clone)]
-pub struct IoBusModel {
-    bus: IoBus,
-    station: Resource,
-}
-
-impl IoBusModel {
-    /// A single shared bus with `bus`'s timing.
-    pub fn new(bus: IoBus) -> Self {
-        IoBusModel {
-            bus,
-            station: Resource::fifo("io_bus", 1),
-        }
-    }
-
-    /// The underlying timing model.
-    pub fn bus(&self) -> &IoBus {
-        &self.bus
-    }
-
-    /// Service time of a `words`-word data phase (no setup — that lives on
-    /// the [`DmaEngineModel`]).
-    pub fn data_service(&self, words: u64) -> Nanos {
-        self.bus.per_word() * words
-    }
-
-    /// Occupies the bus for a data phase of the given precomputed service
-    /// time, queueing behind whatever is already on the wire.
-    pub fn transfer(&mut self, now: Nanos, service: Nanos) -> Grant {
-        self.station.acquire(now, service)
-    }
-
-    /// Occupancy snapshot.
-    pub fn report(&self) -> ResourceReport {
-        self.station.report()
-    }
-}
-
-/// The NIC DMA engine as a station: each transfer holds the engine for the
-/// per-transfer programming (`setup`) cost before its data phase can start.
-#[derive(Debug, Clone)]
-pub struct DmaEngineModel {
-    setup: Nanos,
-    station: Resource,
-}
-
-impl DmaEngineModel {
-    /// One DMA engine whose programming cost comes from `bus`.
-    pub fn new(bus: &IoBus) -> Self {
-        DmaEngineModel {
-            setup: bus.setup(),
-            station: Resource::fifo("dma_engine", 1),
-        }
-    }
-
-    /// The per-transfer programming cost.
-    pub fn setup(&self) -> Nanos {
-        self.setup
-    }
-
-    /// Programs one transfer, queueing behind earlier descriptors.
-    pub fn program(&mut self, now: Nanos) -> Grant {
-        self.station.acquire(now, self.setup)
-    }
-
-    /// Programs one transfer with an explicit (already-charged) setup
-    /// service time — used when the serial cost model's charge must be
-    /// reproduced exactly.
-    pub fn program_for(&mut self, now: Nanos, service: Nanos) -> Grant {
-        self.station.acquire(now, service)
-    }
-
-    /// Occupancy snapshot.
-    pub fn report(&self) -> ResourceReport {
-        self.station.report()
-    }
-}
-
-/// Host interrupt service as a station: one CPU's worth of handler context.
-///
-/// Occupancy per interrupt is the dispatch latency plus the handler body;
-/// while a handler runs, further interrupts (the baseline's per-miss storm,
-/// payload-completion notifications) queue behind it — the "order of
-/// magnitude more expensive than memory references" effect the paper
-/// leans on, now load-dependent.
-#[derive(Debug, Clone)]
-pub struct IntrServiceModel {
-    dispatch: Nanos,
-    station: Resource,
-}
-
-impl IntrServiceModel {
-    /// One interrupt-service context with the given dispatch latency.
-    pub fn new(dispatch: Nanos) -> Self {
-        IntrServiceModel {
-            dispatch,
-            station: Resource::fifo("intr_service", 1),
-        }
-    }
-
-    /// The dispatch latency.
-    pub fn dispatch_cost(&self) -> Nanos {
-        self.dispatch
-    }
-
-    /// Services one interrupt whose handler body runs for `handler`:
-    /// occupancy is `dispatch + handler`.
-    pub fn handle(&mut self, now: Nanos, handler: Nanos) -> Grant {
-        self.station.acquire(now, self.dispatch + handler)
-    }
-
-    /// Services one interrupt with an explicit total occupancy (dispatch
-    /// already included by the caller's accounting).
-    pub fn handle_for(&mut self, now: Nanos, occupancy: Nanos) -> Grant {
-        self.station.acquire(now, occupancy)
-    }
-
-    /// Occupancy snapshot.
-    pub fn report(&self) -> ResourceReport {
-        self.station.report()
-    }
-}
 
 /// Knobs of a DES-backed replay.
 ///
@@ -215,49 +89,16 @@ impl Default for DesConfig {
 mod tests {
     use super::*;
 
-    fn ns(n: u64) -> Nanos {
-        Nanos::from_nanos(n)
-    }
-
     #[test]
     fn fill_split_sums_to_the_serial_charge() {
         let bus = IoBus::default();
-        let io = IoBusModel::new(bus);
-        let dma = DmaEngineModel::new(&bus);
         for entries in [0u64, 1, 8, 32, 1000] {
             assert_eq!(
-                dma.setup() + io.data_service(entries),
+                bus.setup() + bus.per_word() * entries,
                 bus.dma_words(entries),
                 "{entries} entries"
             );
         }
-    }
-
-    #[test]
-    fn uncontended_stations_grant_zero_wait() {
-        let bus = IoBus::default();
-        let mut io = IoBusModel::new(bus);
-        let mut dma = DmaEngineModel::new(&bus);
-        let mut intr = IntrServiceModel::new(Nanos::from_micros(10.0));
-        let p = dma.program(ns(1000));
-        assert_eq!(p.wait, Nanos::ZERO);
-        let d = io.transfer(p.end, io.data_service(32));
-        assert_eq!(d.wait, Nanos::ZERO);
-        assert_eq!(d.end - p.start, bus.dma_words(32));
-        let h = intr.handle(d.end, ns(500));
-        assert_eq!(h.wait, Nanos::ZERO);
-        assert_eq!(h.end - h.start, Nanos::from_micros(10.0) + ns(500));
-    }
-
-    #[test]
-    fn back_to_back_interrupts_queue() {
-        let mut intr = IntrServiceModel::new(Nanos::from_micros(10.0));
-        let a = intr.handle(ns(0), Nanos::ZERO);
-        let b = intr.handle(ns(1), Nanos::ZERO);
-        assert_eq!(b.start, a.end, "second dispatch waits out the first");
-        assert_eq!(b.wait, a.end - ns(1));
-        assert_eq!(intr.report().name, "intr_service");
-        assert_eq!(intr.report().stats.wait_ns, b.wait.as_nanos());
     }
 
     #[test]

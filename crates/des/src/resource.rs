@@ -1,42 +1,15 @@
-//! Contended stations with FIFO/priority queueing and occupancy tracking.
+//! One contended station: a single server, first-come first-served in
+//! admission order.
 //!
 //! A [`Resource`] models one shared device — the I/O bus, the DMA engine,
-//! the host CPU servicing interrupts — as a bank of identical servers.
-//! Every acquisition yields a [`Grant`] splitting the request's life into
-//! *wait* (queueing delay behind earlier occupants) and *service* (the
-//! device's own cost); the accumulated [`ResourceStats`] are the occupancy
-//! picture a run exports.
-//!
-//! Two usage modes:
-//!
-//! * [`Resource::acquire`] admits one request immediately, first-come
-//!   first-served in admission order — the right shape for a replayer that
-//!   walks requests in nondecreasing time.
-//! * [`Resource::submit`] + [`Resource::drain`] batch requests first and
-//!   schedule them together under the configured [`Discipline`], which is
-//!   how a priority station lets a late high-priority request overtake a
-//!   waiting low-priority one.
+//! the host CPU servicing interrupts — as one server with a `free_at`
+//! instant. Every acquisition yields a [`Grant`] splitting the request's
+//! life into *wait* (queueing delay behind earlier occupants) and *service*
+//! (the device's own cost); the accumulated [`ResourceStats`] are the
+//! occupancy picture a run exports.
 
 use serde::{Deserialize, Serialize};
 use utlb_nic::Nanos;
-
-/// How many servers a station has.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Capacity {
-    /// A bank of `n` identical servers (n ≥ 1).
-    Finite(usize),
-    /// No queueing ever — every request starts at its arrival time.
-    Infinite,
-}
-
-/// Queueing discipline for batched ([`Resource::submit`]) requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Discipline {
-    /// First-come first-served by arrival time.
-    Fifo,
-    /// Lower priority value first; FIFO within a priority class.
-    Priority,
-}
 
 /// The outcome of one acquisition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,13 +27,15 @@ pub struct Grant {
 pub struct ResourceStats {
     /// Requests admitted.
     pub arrivals: u64,
-    /// Requests fully scheduled (equals `arrivals` once drained).
+    /// Requests served (every admission is served at once, so this equals
+    /// `arrivals`).
     pub served: u64,
     /// Total service time, in nanoseconds (occupancy).
     pub busy_ns: u64,
     /// Total queueing delay, in nanoseconds.
     pub wait_ns: u64,
-    /// Largest pending-queue depth observed (batched mode only).
+    /// Always 0: a station grants each request as it is admitted and holds
+    /// no pending queue. Kept so archived reports keep their shape.
     pub max_queue: u64,
 }
 
@@ -71,16 +46,6 @@ impl ResourceStats {
             0.0
         } else {
             self.wait_ns as f64 / self.served as f64
-        }
-    }
-
-    /// Fraction of `horizon` one server spent busy (can exceed 1.0 for a
-    /// multi-server bank; divide by the server count for per-server load).
-    pub fn utilization(&self, horizon: Nanos) -> f64 {
-        if horizon == Nanos::ZERO {
-            0.0
-        } else {
-            self.busy_ns as f64 / horizon.as_nanos() as f64
         }
     }
 }
@@ -94,67 +59,23 @@ pub struct ResourceReport {
     pub stats: ResourceStats,
 }
 
-/// One batched request awaiting [`Resource::drain`].
-#[derive(Debug, Clone, Copy)]
-struct Pending {
-    id: u64,
-    arrival: Nanos,
-    service: Nanos,
-    priority: u8,
-}
-
-/// A contended station: named, with a server bank and a queueing discipline.
+/// A contended station: one named server, FIFO in admission order.
 #[derive(Debug, Clone)]
 pub struct Resource {
     name: String,
-    /// Free-at time per server; empty for [`Capacity::Infinite`].
-    servers: Vec<Nanos>,
-    infinite: bool,
-    discipline: Discipline,
-    pending: Vec<Pending>,
-    next_id: u64,
+    /// When the server finishes the last work granted to it.
+    free_at: Nanos,
     stats: ResourceStats,
 }
 
 impl Resource {
-    /// A station with the given capacity and discipline.
-    ///
-    /// # Panics
-    ///
-    /// Panics on `Capacity::Finite(0)` — a zero-server station can never
-    /// serve and would deadlock silently.
-    pub fn new(name: impl Into<String>, capacity: Capacity, discipline: Discipline) -> Self {
-        let (servers, infinite) = match capacity {
-            Capacity::Finite(n) => {
-                assert!(n > 0, "a station needs at least one server");
-                (vec![Nanos::ZERO; n], false)
-            }
-            Capacity::Infinite => (Vec::new(), true),
-        };
+    /// An idle station.
+    pub fn new(name: impl Into<String>) -> Self {
         Resource {
             name: name.into(),
-            servers,
-            infinite,
-            discipline,
-            pending: Vec::new(),
-            next_id: 0,
+            free_at: Nanos::ZERO,
             stats: ResourceStats::default(),
         }
-    }
-
-    /// A FIFO station with `servers` servers.
-    pub fn fifo(name: impl Into<String>, servers: usize) -> Self {
-        Resource::new(name, Capacity::Finite(servers), Discipline::Fifo)
-    }
-
-    /// A priority station with `servers` servers.
-    pub fn priority(name: impl Into<String>, servers: usize) -> Self {
-        Resource::new(name, Capacity::Finite(servers), Discipline::Priority)
-    }
-
-    /// An uncontended station: infinite capacity, zero wait always.
-    pub fn unlimited(name: impl Into<String>) -> Self {
-        Resource::new(name, Capacity::Infinite, Discipline::Fifo)
     }
 
     /// Station name.
@@ -175,25 +96,14 @@ impl Resource {
         }
     }
 
-    /// Index of the server that frees up earliest (lowest index on ties,
-    /// for determinism).
-    fn earliest_server(&self) -> usize {
-        self.servers
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, free)| (**free, *i))
-            .map(|(i, _)| i)
-            .expect("finite station has servers")
-    }
-
-    /// Admits one request *now* and serves it as soon as a server frees up,
-    /// first-come first-served in admission order.
+    /// Admits one request *now* and serves it as soon as the server frees
+    /// up, first-come first-served in admission order.
     ///
     /// The grant's `wait` is exact FIFO queueing delay when admissions
     /// happen in nondecreasing `now` order (the replayer's case); admissions
     /// that run backwards in time still get a well-defined, deterministic
-    /// grant (`start = max(now, earliest free server)`) but model a station
-    /// that cannot reorder already-granted work.
+    /// grant (`start = max(now, free_at)`) but model a station that cannot
+    /// reorder already-granted work.
     pub fn acquire(&mut self, now: Nanos, service: Nanos) -> Grant {
         self.acquire_with(now, |start| start + service)
     }
@@ -207,94 +117,16 @@ impl Resource {
     ///
     /// Panics if `occupy` returns an end before its start.
     pub fn acquire_with(&mut self, now: Nanos, occupy: impl FnOnce(Nanos) -> Nanos) -> Grant {
-        self.stats.arrivals += 1;
-        let (start, server) = if self.infinite {
-            (now, None)
-        } else {
-            let s = self.earliest_server();
-            (now.max(self.servers[s]), Some(s))
-        };
+        let start = now.max(self.free_at);
         let end = occupy(start);
         assert!(end >= start, "occupancy cannot end before it starts");
-        if let Some(s) = server {
-            self.servers[s] = end;
-        }
-        let wait = start.saturating_sub(now);
+        self.free_at = end;
+        let wait = start - now;
+        self.stats.arrivals += 1;
         self.stats.served += 1;
         self.stats.busy_ns += (end - start).as_nanos();
         self.stats.wait_ns += wait.as_nanos();
         Grant { start, end, wait }
-    }
-
-    /// Enqueues a request for batched scheduling; returns its id.
-    ///
-    /// `priority` is ignored under [`Discipline::Fifo`]. Lower values are
-    /// more urgent under [`Discipline::Priority`].
-    pub fn submit(&mut self, arrival: Nanos, service: Nanos, priority: u8) -> u64 {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.pending.push(Pending {
-            id,
-            arrival,
-            service,
-            priority,
-        });
-        self.stats.arrivals += 1;
-        self.stats.max_queue = self.stats.max_queue.max(self.pending.len() as u64);
-        id
-    }
-
-    /// Schedules every pending request under the station's discipline and
-    /// returns `(id, grant)` pairs in service-start order.
-    ///
-    /// Under [`Discipline::Priority`], whenever a server frees up the
-    /// highest-priority request *already arrived by that time* is taken —
-    /// so a late urgent request overtakes earlier-arrived bulk work, but
-    /// never preempts service in progress.
-    pub fn drain(&mut self) -> Vec<(u64, Grant)> {
-        let mut pending = std::mem::take(&mut self.pending);
-        let mut out = Vec::with_capacity(pending.len());
-        while !pending.is_empty() {
-            let (free, server) = if self.infinite {
-                (Nanos::ZERO, None)
-            } else {
-                let s = self.earliest_server();
-                (self.servers[s], Some(s))
-            };
-            // The next service starts no earlier than the server frees and
-            // no earlier than the first arrival still waiting.
-            let first_arrival = pending.iter().map(|p| p.arrival).min().expect("non-empty");
-            let decision_time = free.max(first_arrival);
-            let chosen = pending
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.arrival <= decision_time)
-                .min_by_key(|(_, p)| match self.discipline {
-                    Discipline::Fifo => (0u8, p.arrival, p.id),
-                    Discipline::Priority => (p.priority, p.arrival, p.id),
-                })
-                .map(|(i, _)| i)
-                .expect("first_arrival guarantees an eligible request");
-            let p = pending.swap_remove(chosen);
-            let start = p.arrival.max(free);
-            let end = start + p.service;
-            if let Some(s) = server {
-                self.servers[s] = end;
-            }
-            self.stats.served += 1;
-            self.stats.busy_ns += p.service.as_nanos();
-            self.stats.wait_ns += (start - p.arrival).as_nanos();
-            out.push((
-                p.id,
-                Grant {
-                    start,
-                    end,
-                    wait: start - p.arrival,
-                },
-            ));
-        }
-        out.sort_by_key(|(id, g)| (g.start, *id));
-        out
     }
 }
 
@@ -307,8 +139,8 @@ mod tests {
     }
 
     #[test]
-    fn fifo_acquire_serializes_overlapping_work() {
-        let mut bus = Resource::fifo("io_bus", 1);
+    fn acquire_serializes_overlapping_work() {
+        let mut bus = Resource::new("io_bus");
         let a = bus.acquire(ns(0), ns(100));
         let b = bus.acquire(ns(40), ns(100));
         let c = bus.acquire(ns(400), ns(10));
@@ -323,36 +155,13 @@ mod tests {
         assert_eq!(s.served, 3);
         assert_eq!(s.busy_ns, 210);
         assert_eq!(s.wait_ns, 60);
+        assert_eq!(s.max_queue, 0);
         assert!((s.mean_wait_ns() - 20.0).abs() < 1e-9);
-        assert!((s.utilization(ns(410)) - 210.0 / 410.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn two_servers_halve_the_queueing() {
-        let mut r = Resource::fifo("dual", 2);
-        let a = r.acquire(ns(0), ns(100));
-        let b = r.acquire(ns(0), ns(100));
-        let c = r.acquire(ns(10), ns(100));
-        assert_eq!(a.wait, ns(0));
-        assert_eq!(b.wait, ns(0), "second server picks it up");
-        assert_eq!(c.start, ns(100), "third waits for the earliest server");
-    }
-
-    #[test]
-    fn unlimited_station_never_queues() {
-        let mut r = Resource::unlimited("host_cpu");
-        for i in 0..10u64 {
-            let g = r.acquire(ns(i), ns(1_000_000));
-            assert_eq!(g.wait, Nanos::ZERO);
-            assert_eq!(g.start, ns(i));
-        }
-        assert_eq!(r.stats().wait_ns, 0);
-        assert_eq!(r.stats().busy_ns, 10_000_000);
     }
 
     #[test]
     fn acquire_with_holds_the_station_across_nested_waits() {
-        let mut fw = Resource::fifo("firmware", 1);
+        let mut fw = Resource::new("firmware");
         // The closure gets the admission time and stretches occupancy to an
         // externally computed end — modeling the firmware busy across a
         // fill that itself queued at the bus.
@@ -367,51 +176,8 @@ mod tests {
     }
 
     #[test]
-    fn priority_drain_lets_urgent_work_overtake() {
-        let mut r = Resource::priority("intr_service", 1);
-        let bulk0 = r.submit(ns(0), ns(100), 5);
-        let bulk1 = r.submit(ns(10), ns(100), 5);
-        let urgent = r.submit(ns(20), ns(10), 0);
-        let grants = r.drain();
-        let by_id = |id: u64| grants.iter().find(|(i, _)| *i == id).unwrap().1;
-        // bulk0 is in service when urgent arrives; urgent then overtakes
-        // bulk1, which arrived earlier but is less urgent.
-        assert_eq!(by_id(bulk0).start, ns(0));
-        assert_eq!(by_id(urgent).start, ns(100));
-        assert_eq!(by_id(bulk1).start, ns(110));
-        assert_eq!(r.stats().max_queue, 3);
-        assert_eq!(r.stats().served, 3);
-    }
-
-    #[test]
-    fn fifo_drain_ignores_priority_and_matches_acquire_order() {
-        let mut batched = Resource::fifo("bus", 1);
-        batched.submit(ns(0), ns(100), 9);
-        batched.submit(ns(40), ns(100), 0);
-        let grants = batched.drain();
-        let mut inline = Resource::fifo("bus", 1);
-        let a = inline.acquire(ns(0), ns(100));
-        let b = inline.acquire(ns(40), ns(100));
-        assert_eq!(grants[0].1, a);
-        assert_eq!(grants[1].1, b);
-        assert_eq!(inline.stats().wait_ns, batched.stats().wait_ns);
-    }
-
-    #[test]
-    fn drain_is_deterministic_under_heavy_ties() {
-        let run = || {
-            let mut r = Resource::priority("tied", 2);
-            for i in 0..50u64 {
-                r.submit(ns((i % 4) * 10), ns(25), (i % 3) as u8);
-            }
-            r.drain()
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
     fn report_carries_name_and_serializes() {
-        let mut r = Resource::fifo("io_bus", 1);
+        let mut r = Resource::new("io_bus");
         r.acquire(ns(0), ns(10));
         let rep = r.report();
         assert_eq!(rep.name, "io_bus");
@@ -421,8 +187,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one server")]
-    fn zero_capacity_panics() {
-        Resource::new("broken", Capacity::Finite(0), Discipline::Fifo);
+    #[should_panic(expected = "cannot end before it starts")]
+    fn occupancy_ending_before_its_start_panics() {
+        Resource::new("broken").acquire_with(ns(100), |start| start - ns(1));
     }
 }

@@ -18,7 +18,6 @@
 
 use super::gen_key;
 use crate::report::{micros, TextTable};
-use crate::sweep::worker_count;
 use crate::RunOutputExt;
 use crate::{
     ClusterConfig, ClusterResult, Mechanism, Run, SimConfig, SweepGrid, DEFAULT_HOST_FRAMES,
@@ -65,8 +64,6 @@ pub fn cluster_workload(cfg: &GenConfig, jobs: usize) -> Trace {
 pub struct ClusterTopology {
     /// The node counts swept.
     pub nodes_axis: Vec<usize>,
-    /// Host-side sweep workers the run used.
-    pub workers: usize,
     /// Stations shared by all boards, in station order.
     pub shared_stations: Vec<String>,
     /// Stations private to each board.
@@ -244,7 +241,6 @@ pub fn cluster_scaling(
         workload,
         topology: ClusterTopology {
             nodes_axis: nodes_axis.to_vec(),
-            workers: worker_count(cells.len()),
             shared_stations: vec![
                 "host_mem".to_string(),
                 "io_bus".to_string(),

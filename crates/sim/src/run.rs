@@ -273,6 +273,10 @@ impl Run {
     /// Rejects option combinations no input can satisfy, before any work.
     fn check(&self) -> Result<(), RunError> {
         let reject = |msg| Err(RunError::IncompatibleConfig(msg));
+        self.cfg
+            .cost
+            .validate()
+            .map_err(RunError::IncompatibleConfig)?;
         if let Some(f) = &self.frontend {
             f.validate().map_err(RunError::IncompatibleConfig)?;
         }
@@ -792,7 +796,7 @@ impl RunOutputExt for Result<RunOutput, RunError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use utlb_core::UtlbEngine;
+    use utlb_core::{CostModel, UtlbEngine};
     use utlb_trace::{gen, GenConfig, ShardMap, SplashApp};
 
     fn tiny() -> Trace {
@@ -1035,6 +1039,48 @@ mod tests {
             err,
             RunError::IncompatibleConfig("frontend needs at least one connection")
         );
+    }
+
+    #[test]
+    fn an_invalid_cost_model_is_a_typed_error() {
+        let broken = |breakage: fn(&mut CostModel)| {
+            let mut cost = CostModel::default();
+            breakage(&mut cost);
+            cost
+        };
+        let cases = [
+            (broken(|c| c.user_check_us = -1.0), "scalar"),
+            (broken(|c| c.interrupt_us = f64::NAN), "scalar"),
+            (broken(|c| c.pin_points = vec![(1, 27.0)]), "two points"),
+            (
+                broken(|c| c.dma_points = vec![(1, 1.5), (1, 1.6)]),
+                "strictly increasing",
+            ),
+            (
+                broken(|c| c.unpin_points = vec![(1, 25.0), (2, 20.0)]),
+                "nondecreasing",
+            ),
+            (
+                broken(|c| c.pin_points = vec![(1, -1.0), (2, 3.0)]),
+                "nondecreasing",
+            ),
+            (
+                broken(|c| c.dma_points = vec![(1, 1.5), (2, f64::INFINITY)]),
+                "nondecreasing",
+            ),
+        ];
+        for (cost, expected) in cases {
+            let cfg = SimConfig {
+                cost,
+                ..SimConfig::study(64)
+            };
+            let err = Run::new(Mechanism::Utlb)
+                .config(&cfg)
+                .execute(&tiny())
+                .unwrap_err();
+            assert!(matches!(err, RunError::IncompatibleConfig(_)), "{err}");
+            assert!(err.to_string().contains(expected), "{err}");
+        }
     }
 
     #[test]

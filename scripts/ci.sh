@@ -131,10 +131,11 @@ echo "== cluster: 1-board bit-exactness, determinism, migration proptest"
 cargo test -q --offline -p utlb-sim --test cluster
 filtered_test -p utlb-sim cluster::
 
-echo "== cluster: capped-axis scaling run, byte-identical to the committed smoke archive"
-# One worker: the archive's topology header records the worker count.
-UTLB_SIM_THREADS=1 \
-    run_all cluster --cap 8 --scale 0.1 --json results/cluster_smoke.json > /dev/null
+echo "== cluster: capped-axis scaling run, byte-identical at 1 vs 4 sweep workers"
+UTLB_SIM_THREADS=1 run_all cluster --cap 8 --scale 0.1 --json results/cluster_smoke_1w.json > /dev/null
+UTLB_SIM_THREADS=4 run_all cluster --cap 8 --scale 0.1 --json results/cluster_smoke.json > /dev/null
+cmp results/cluster_smoke_1w.json results/cluster_smoke.json
+rm results/cluster_smoke_1w.json
 git diff --exit-code -- results/cluster_smoke.json
 
 echo "== cluster: 1-vs-8-board replay bench smoke"
