@@ -159,7 +159,7 @@ fn bench_noop_probe(c: &mut Criterion) {
 /// Batched vs scalar replay throughput on a Table 4 workload, all four
 /// mechanisms. `replay_scalar_*` is the pre-batching loop (one outcome
 /// `Vec` per record, per-page classification); `replay_batched_*` is the
-/// library runner on the allocation-free `lookup_run_into` path.
+/// library runner on the batched `lookup_run_into` path.
 fn bench_replay_paths(c: &mut Criterion) {
     let trace = gen::generate_shared(SplashApp::Water, &small_cfg());
     let cfg = SimConfig::study(1024);

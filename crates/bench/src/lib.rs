@@ -20,7 +20,7 @@ pub mod registry;
 /// The pre-batching replay loop, kept as the *scalar baseline* for the
 /// batched-vs-scalar throughput benches: per-record `lookup_run` (one
 /// outcome `Vec` allocated per record) and per-page classification. The
-/// library's [`utlb_sim::Run`] replay path now goes through the allocation-free
+/// library's [`utlb_sim::Run`] replay path now goes through the batched
 /// [`utlb_core::TranslationMechanism::lookup_run_into`]; benchmarking both
 /// on the same trace measures what the batch path buys.
 pub fn scalar_replay<M: utlb_core::TranslationMechanism>(

@@ -226,18 +226,6 @@ impl SharedUtlbCache {
         self.stats
     }
 
-    /// Resets the counters (not the contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
-    /// SRAM footprint of the line array: 4 bytes per entry in the real
-    /// firmware's packed format (Figure 3 line format: 20-bit physical
-    /// address + 8-bit tag + 4-bit process tag).
-    pub fn sram_bytes(&self) -> u64 {
-        self.cfg.entries as u64 * 4
-    }
-
     /// The process-dependent index offset (§3.2: "offset a translation
     /// table index by a process-dependent constant").
     fn offset(&self, pid: ProcessId) -> u64 {
@@ -627,7 +615,6 @@ mod tests {
     fn default_config_matches_paper_implementation() {
         let c = SharedUtlbCache::new(CacheConfig::default());
         assert_eq!(c.config().entries, 8192);
-        assert_eq!(c.sram_bytes(), 32 * 1024, "32 KB as in §4.2");
     }
 
     #[test]

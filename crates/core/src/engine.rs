@@ -14,11 +14,12 @@
 //! be pinned, and never interrupts the host — the two properties the whole
 //! design exists to provide.
 
+use crate::batch::{page_run_methods, HitPath};
 use crate::obs::{Event, EvictReason, ProbeSlot};
 use crate::pincore::{charge_us, probe_stats_accessors, PinCore};
 use crate::{
-    CacheConfig, CacheStats, CostModel, HierTable, LookupBatch, OutcomeBuf, PinBitVector, Policy,
-    Result, SharedUtlbCache, TranslationMechanism, UtlbError,
+    CacheConfig, CacheStats, CostModel, HierTable, OutcomeBuf, PinBitVector, Policy, Result,
+    SharedUtlbCache, TranslationMechanism, UtlbError,
 };
 use utlb_mem::{Host, IntMap, PhysAddr, ProcessId, VirtAddr, VirtPage};
 use utlb_nic::{Board, Nanos};
@@ -111,15 +112,6 @@ pub struct PageOutcome {
     pub check_miss: bool,
     /// Whether the NIC translation cache missed.
     pub ni_miss: bool,
-}
-
-/// Result of a [`UtlbEngine::lookup`] over a page run.
-#[derive(Debug, Clone)]
-pub struct LookupReport {
-    /// Per-page outcomes, in run order.
-    pub pages: Vec<PageOutcome>,
-    /// Simulated time the run consumed.
-    pub elapsed: Nanos,
 }
 
 #[derive(Debug)]
@@ -274,11 +266,13 @@ impl UtlbEngine {
 
     /// Translates the buffer `[va, va + nbytes)` — the `send message`
     /// pseudo-code of Figure 2: check the user-level structure, pin missing
-    /// pages through the driver, then resolve each page on the NIC.
+    /// pages through the driver, then resolve each page on the NIC. Returns
+    /// one outcome per page, in buffer order.
     ///
     /// # Errors
     ///
-    /// Propagates pinning, memory, and protocol errors.
+    /// Returns [`UtlbError::UnregisteredProcess`] if `pid` is unknown;
+    /// propagates pinning, memory, and protocol errors.
     pub fn lookup_buffer(
         &mut self,
         host: &mut Host,
@@ -286,9 +280,8 @@ impl UtlbEngine {
         pid: ProcessId,
         va: VirtAddr,
         nbytes: u64,
-    ) -> Result<LookupReport> {
-        let npages = va.span_pages(nbytes);
-        self.lookup(host, board, pid, va.page(), npages)
+    ) -> Result<Vec<PageOutcome>> {
+        self.lookup_run(host, board, pid, va.page(), va.span_pages(nbytes))
     }
 
     /// NIC-side-only resolution of one page, as if a (buggy or malicious)
@@ -405,85 +398,6 @@ impl UtlbEngine {
         let ns = (board.clock.now() - t0).as_nanos();
         probe.emit(pid, Event::Lookup { ns });
         Ok(phys)
-    }
-
-    /// Translates `npages` pages starting at `start`, one page-granular
-    /// lookup per page (the firmware splits transfers at page boundaries).
-    ///
-    /// # Errors
-    ///
-    /// Propagates pinning, memory, and protocol errors.
-    pub fn lookup(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-        start: VirtPage,
-        npages: u64,
-    ) -> Result<LookupReport> {
-        if !self.procs.contains_key(&pid) {
-            return Err(UtlbError::UnregisteredProcess(pid));
-        }
-        let t0 = board.clock.now();
-        let mut pages = Vec::with_capacity(npages as usize);
-        for page in start.range(npages) {
-            let outcome = self.lookup_page(host, board, pid, page)?;
-            pages.push(outcome);
-        }
-        Ok(LookupReport {
-            pages,
-            elapsed: board.clock.now() - t0,
-        })
-    }
-
-    fn lookup_page(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-        page: VirtPage,
-    ) -> Result<PageOutcome> {
-        let (user_check_us, ni_check_us) = (self.cfg.cost.user_check_us, self.cfg.cost.ni_check_us);
-        let t0 = board.clock.now();
-        let state = self.procs.get_mut(&pid).expect("checked by caller");
-        state.core.stats.lookups += 1;
-
-        // 1. User-level check against the pin bitmap (Figure 2 step 1).
-        charge_us(board, user_check_us);
-        let check = state.bitvec.check_run(page, 1);
-        let check_miss = !check.is_hit();
-
-        if check_miss {
-            state.core.stats.check_misses += 1;
-            self.probe.emit(pid, Event::CheckMiss);
-            self.pin_run(host, board, pid, page)?;
-        }
-
-        let state = self.procs.get_mut(&pid).expect("still registered");
-        state.core.pinned.touch(page);
-
-        // 2. NIC-side resolution (Figure 2 NIC steps 1–2).
-        charge_us(board, ni_check_us);
-        let (phys, ni_miss) = match self.cache.lookup(pid, page) {
-            Some(phys) => (phys, false),
-            None => {
-                let phys = self.fill_from_table(host, board, pid, page)?;
-                (phys, true)
-            }
-        };
-        let state = self.procs.get_mut(&pid).expect("still registered");
-        if ni_miss {
-            state.core.stats.ni_misses += 1;
-            self.probe.emit(pid, Event::NiMiss);
-        }
-        let ns = (board.clock.now() - t0).as_nanos();
-        self.probe.emit(pid, Event::Lookup { ns });
-        Ok(PageOutcome {
-            page,
-            phys,
-            check_miss,
-            ni_miss,
-        })
     }
 
     /// Handles a check miss: evict under the memory limit, then pin the
@@ -623,6 +537,100 @@ impl UtlbEngine {
     }
 }
 
+/// Pure hits are the pages whose user-level check and cache probe would
+/// both hit, decided by pure reads of the pin bitmap (word-wise, via
+/// [`PinBitVector::pinned_prefix`]) and a stats-free cache peek.
+impl HitPath for UtlbEngine {
+    fn registered(&self, pid: ProcessId) -> bool {
+        self.procs.contains_key(&pid)
+    }
+
+    fn hit_charge(&self) -> Nanos {
+        Nanos::from_micros(self.cfg.cost.user_check_us)
+            + Nanos::from_micros(self.cfg.cost.ni_check_us)
+    }
+
+    fn lookup_page(
+        &mut self,
+        host: &mut Host,
+        board: &mut Board,
+        pid: ProcessId,
+        page: VirtPage,
+    ) -> Result<PageOutcome> {
+        let (user_check_us, ni_check_us) = (self.cfg.cost.user_check_us, self.cfg.cost.ni_check_us);
+        let t0 = board.clock.now();
+        let state = self.procs.get_mut(&pid).expect("checked by caller");
+        state.core.stats.lookups += 1;
+
+        // 1. User-level check against the pin bitmap (Figure 2 step 1).
+        charge_us(board, user_check_us);
+        let check = state.bitvec.check_run(page, 1);
+        let check_miss = !check.is_hit();
+
+        if check_miss {
+            state.core.stats.check_misses += 1;
+            self.probe.emit(pid, Event::CheckMiss);
+            self.pin_run(host, board, pid, page)?;
+        }
+
+        let state = self.procs.get_mut(&pid).expect("still registered");
+        state.core.pinned.touch(page);
+
+        // 2. NIC-side resolution (Figure 2 NIC steps 1–2).
+        charge_us(board, ni_check_us);
+        let (phys, ni_miss) = match self.cache.lookup(pid, page) {
+            Some(phys) => (phys, false),
+            None => {
+                let phys = self.fill_from_table(host, board, pid, page)?;
+                (phys, true)
+            }
+        };
+        let state = self.procs.get_mut(&pid).expect("still registered");
+        if ni_miss {
+            state.core.stats.ni_misses += 1;
+            self.probe.emit(pid, Event::NiMiss);
+        }
+        let ns = (board.clock.now() - t0).as_nanos();
+        self.probe.emit(pid, Event::Lookup { ns });
+        Ok(PageOutcome {
+            page,
+            phys,
+            check_miss,
+            ni_miss,
+        })
+    }
+
+    #[inline]
+    fn hit_prefix(
+        &mut self,
+        _board: &Board,
+        pid: ProcessId,
+        start: VirtPage,
+        max: u64,
+        event_ns: u64,
+        out: &mut OutcomeBuf,
+    ) -> Result<u64> {
+        let state = self.procs.get_mut(&pid).expect("checked by caller");
+        let pinned = state.bitvec.pinned_prefix(start, max);
+        let mut run = 0u64;
+        while run < pinned && self.cache.peek(pid, start.offset(run)).is_some() {
+            run += 1;
+        }
+        for page in start.range(run) {
+            state.core.fast_hit(page);
+            let phys = self.cache.lookup(pid, page).expect("peeked above");
+            self.probe.emit(pid, Event::Lookup { ns: event_ns });
+            out.push(PageOutcome {
+                page,
+                phys,
+                check_miss: false,
+                ni_miss: false,
+            });
+        }
+        Ok(run)
+    }
+}
+
 impl TranslationMechanism for UtlbEngine {
     fn name(&self) -> &'static str {
         "UTLB"
@@ -678,90 +686,7 @@ impl TranslationMechanism for UtlbEngine {
         Ok(())
     }
 
-    fn lookup_run(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-        start: VirtPage,
-        npages: u64,
-    ) -> Result<Vec<PageOutcome>> {
-        self.lookup(host, board, pid, start, npages)
-            .map(|r| r.pages)
-    }
-
-    /// Pages whose user-level check and cache probe would both hit —
-    /// decided by pure reads of the pin bitmap (word-wise, via
-    /// [`PinBitVector::pinned_prefix`]) and a stats-free cache peek — take
-    /// a coalesced fast path: the per-process state is resolved once per
-    /// run of consecutive hits, and the run's identical clock charges are
-    /// applied in one advance. Any other page settles the pending charges
-    /// and goes through the scalar per-page walk unchanged, so outcomes,
-    /// statistics, probe events, and the clock are identical to
-    /// [`UtlbEngine::lookup`].
-    fn lookup_run_into(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        batch: LookupBatch,
-        out: &mut OutcomeBuf,
-    ) -> Result<()> {
-        let LookupBatch { pid, start, npages } = batch;
-        if !self.procs.contains_key(&pid) {
-            return Err(UtlbError::UnregisteredProcess(pid));
-        }
-        // Per-record resolution: the two hit charges, converted once
-        // instead of per page. A hit's Lookup charge is the clock delta
-        // user + ni, independent of absolute time, so runs of hits can
-        // defer their advances.
-        let user_ns = Nanos::from_micros(self.cfg.cost.user_check_us);
-        let ni_ns = Nanos::from_micros(self.cfg.cost.ni_check_us);
-        let hit_ns = user_ns + ni_ns;
-        let hit_event_ns = hit_ns.as_nanos();
-
-        let mut pending = 0u64; // coalesced hit charges not yet on the clock
-        let mut i = 0u64;
-        while i < npages {
-            let page = start.offset(i);
-            // Maximal run of pure-hit pages from `page` (pure reads only).
-            let state = self.procs.get(&pid).expect("checked above");
-            let pinned = state.bitvec.pinned_prefix(page, npages - i);
-            let mut run = 0u64;
-            while run < pinned && self.cache.peek(pid, start.offset(i + run)).is_some() {
-                run += 1;
-            }
-            if run == 0 {
-                // Slow page: settle the coalesced time first so the miss
-                // path sees the same absolute clock as the scalar walk.
-                if pending > 0 {
-                    board.clock.advance(hit_ns * pending);
-                    pending = 0;
-                }
-                out.push(self.lookup_page(host, board, pid, page)?);
-                i += 1;
-                continue;
-            }
-            let state = self.procs.get_mut(&pid).expect("checked above");
-            for k in 0..run {
-                let page = start.offset(i + k);
-                state.core.fast_hit(page);
-                let phys = self.cache.lookup(pid, page).expect("peeked above");
-                self.probe.emit(pid, Event::Lookup { ns: hit_event_ns });
-                out.push(PageOutcome {
-                    page,
-                    phys,
-                    check_miss: false,
-                    ni_miss: false,
-                });
-            }
-            pending += run;
-            i += run;
-        }
-        if pending > 0 {
-            board.clock.advance(hit_ns * pending);
-        }
-        Ok(())
-    }
+    page_run_methods!();
 
     fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
@@ -794,13 +719,19 @@ mod tests {
     fn first_lookup_misses_everywhere_second_hits_everywhere() {
         let (mut host, mut board, mut engine, pid) = setup(small_cfg());
         let page = VirtPage::new(100);
-        let r1 = engine.lookup(&mut host, &mut board, pid, page, 1).unwrap();
-        assert!(r1.pages[0].check_miss);
-        assert!(r1.pages[0].ni_miss);
-        let r2 = engine.lookup(&mut host, &mut board, pid, page, 1).unwrap();
-        assert!(!r2.pages[0].check_miss);
-        assert!(!r2.pages[0].ni_miss);
-        assert!(r2.elapsed < r1.elapsed, "hit path is faster");
+        let t0 = board.clock.now();
+        let r1 = engine
+            .lookup_run(&mut host, &mut board, pid, page, 1)
+            .unwrap();
+        let t1 = board.clock.now();
+        assert!(r1[0].check_miss);
+        assert!(r1[0].ni_miss);
+        let r2 = engine
+            .lookup_run(&mut host, &mut board, pid, page, 1)
+            .unwrap();
+        assert!(!r2[0].check_miss);
+        assert!(!r2[0].ni_miss);
+        assert!(board.clock.now() - t1 < t1 - t0, "hit path is faster");
         let s = engine.stats(pid).unwrap();
         assert_eq!(s.lookups, 2);
         assert_eq!(s.check_misses, 1);
@@ -822,7 +753,7 @@ mod tests {
             .lookup_buffer(&mut host, &mut board, pid, va, 11)
             .unwrap();
         let mut buf = [0u8; 11];
-        host.physical().read(r.pages[0].phys, &mut buf).unwrap();
+        host.physical().read(r[0].phys, &mut buf).unwrap();
         assert_eq!(&buf, b"dma payload");
     }
 
@@ -833,7 +764,7 @@ mod tests {
         let r = engine
             .lookup_buffer(&mut host, &mut board, pid, va, 32)
             .unwrap();
-        assert_eq!(r.pages.len(), 2);
+        assert_eq!(r.len(), 2);
         assert_eq!(engine.stats(pid).unwrap().lookups, 2);
     }
 
@@ -847,7 +778,7 @@ mod tests {
         let (mut host, mut board, mut engine, pid) = setup(cfg);
         for i in 0..8 {
             engine
-                .lookup(&mut host, &mut board, pid, VirtPage::new(i), 1)
+                .lookup_run(&mut host, &mut board, pid, VirtPage::new(i), 1)
                 .unwrap();
         }
         let s = engine.stats(pid).unwrap();
@@ -856,9 +787,9 @@ mod tests {
         assert_eq!(host.driver().pins().pinned_pages(pid), 4);
         // LRU: pages 0–3 were evicted; touching page 0 re-pins.
         let r = engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(0), 1)
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(0), 1)
             .unwrap();
-        assert!(r.pages[0].check_miss);
+        assert!(r[0].check_miss);
     }
 
     #[test]
@@ -870,19 +801,19 @@ mod tests {
         };
         let (mut host, mut board, mut engine, pid) = setup(cfg);
         engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(1), 1)
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(1), 1)
             .unwrap();
         engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(2), 1)
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(2), 1)
             .unwrap();
         // Page 1 was unpinned: its cache line must be gone and a re-lookup
         // must re-pin and re-miss.
         assert!(engine.cache().peek(pid, VirtPage::new(1)).is_none());
         let r = engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(1), 1)
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(1), 1)
             .unwrap();
-        assert!(r.pages[0].check_miss);
-        assert!(r.pages[0].ni_miss);
+        assert!(r[0].check_miss);
+        assert!(r[0].ni_miss);
     }
 
     #[test]
@@ -894,7 +825,7 @@ mod tests {
         };
         let (mut host, mut board, mut engine, pid) = setup(cfg);
         engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(0), 1)
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(0), 1)
             .unwrap();
         let s = engine.stats(pid).unwrap();
         assert_eq!(s.pins, 8, "one miss pre-pins the run");
@@ -902,9 +833,9 @@ mod tests {
         // The next 7 pages are check hits.
         for i in 1..8 {
             let r = engine
-                .lookup(&mut host, &mut board, pid, VirtPage::new(i), 1)
+                .lookup_run(&mut host, &mut board, pid, VirtPage::new(i), 1)
                 .unwrap();
-            assert!(!r.pages[0].check_miss, "page {i}");
+            assert!(!r[0].check_miss, "page {i}");
         }
         assert_eq!(engine.stats(pid).unwrap().check_misses, 1);
     }
@@ -920,7 +851,7 @@ mod tests {
         let (mut host, mut board, mut engine, pid) = setup(cfg);
         // One lookup pins 8 pages and prefetches all 8 entries.
         engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(0), 8)
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(0), 8)
             .unwrap();
         let s = engine.stats(pid).unwrap();
         assert_eq!(s.ni_misses, 1, "only the first page misses in the cache");
@@ -937,15 +868,15 @@ mod tests {
         };
         let (mut host, mut board, mut engine, pid) = setup(cfg);
         engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(0), 1)
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(0), 1)
             .unwrap();
         // Neighbours 1..3 were fetched but hold garbage: not cached.
         assert!(engine.cache().peek(pid, VirtPage::new(1)).is_none());
         // And looking one up later is still correct (pin, then NI miss).
         let r = engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(1), 1)
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(1), 1)
             .unwrap();
-        assert!(r.pages[0].ni_miss);
+        assert!(r[0].ni_miss);
     }
 
     #[test]
@@ -957,20 +888,20 @@ mod tests {
         };
         let (mut host, mut board, mut engine, pid) = setup(cfg);
         engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(1), 1)
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(1), 1)
             .unwrap();
         engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(2), 1)
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(2), 1)
             .unwrap();
         engine.hold_pages(pid, VirtPage::new(1), 2).unwrap();
         // Both pinned pages are held: pinning a third must fail.
         let err = engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(3), 1)
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(3), 1)
             .unwrap_err();
         assert!(matches!(err, UtlbError::NoEvictableVictim(_)));
         engine.release_pages(pid, VirtPage::new(1), 2).unwrap();
         assert!(engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(3), 1)
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(3), 1)
             .is_ok());
     }
 
@@ -983,7 +914,7 @@ mod tests {
         ));
         let ghost = ProcessId::new(404);
         assert!(matches!(
-            engine.lookup(&mut host, &mut board, ghost, VirtPage::new(0), 1),
+            engine.lookup_run(&mut host, &mut board, ghost, VirtPage::new(0), 1),
             Err(UtlbError::UnregisteredProcess(_))
         ));
         assert!(engine.stats(ghost).is_err());
@@ -993,7 +924,7 @@ mod tests {
     fn unregister_releases_everything() {
         let (mut host, mut board, mut engine, pid) = setup(small_cfg());
         engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(0), 4)
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(0), 4)
             .unwrap();
         let frames_before = host.physical().allocator().allocated_frames();
         assert!(frames_before > 0);
@@ -1025,8 +956,8 @@ mod tests {
             .unwrap();
         let mut b1 = [0u8; 3];
         let mut b2 = [0u8; 3];
-        host.physical().read(r1.pages[0].phys, &mut b1).unwrap();
-        host.physical().read(r2.pages[0].phys, &mut b2).unwrap();
+        host.physical().read(r1[0].phys, &mut b1).unwrap();
+        host.physical().read(r2[0].phys, &mut b2).unwrap();
         assert_eq!(&b1, b"one");
         assert_eq!(&b2, b"two");
     }
@@ -1053,10 +984,10 @@ mod tests {
         // A well-behaved lookup of the same page afterwards is a pure hit
         // and never interrupts.
         let r = engine
-            .lookup(&mut host, &mut board, pid, va.page(), 1)
+            .lookup_run(&mut host, &mut board, pid, va.page(), 1)
             .unwrap();
-        assert!(!r.pages[0].check_miss);
-        assert!(!r.pages[0].ni_miss);
+        assert!(!r[0].check_miss);
+        assert!(!r[0].ni_miss);
         assert_eq!(engine.stats(pid).unwrap().interrupts, 1);
         // Resolving an already-pinned page via the NIC path needs no
         // interrupt either (cache was filled above; invalidate to force the
@@ -1081,7 +1012,7 @@ mod tests {
         engine.set_probe(collector.boxed());
         for i in 0..2 {
             engine
-                .lookup(&mut host, &mut board, pid, VirtPage::new(i), 1)
+                .lookup_run(&mut host, &mut board, pid, VirtPage::new(i), 1)
                 .unwrap();
         }
         let va = VirtAddr::new(7 << 12);
@@ -1111,9 +1042,9 @@ mod tests {
         // The evicted page's translation was invalidated: a checked lookup
         // re-pins it.
         let r = engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(0), 1)
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(0), 1)
             .unwrap();
-        assert!(r.pages[0].check_miss);
+        assert!(r[0].check_miss);
         assert_eq!(host.driver().pins().pinned_pages(pid), 2);
     }
 
@@ -1134,20 +1065,20 @@ mod tests {
             .write(va, b"survives")
             .unwrap();
         engine
-            .lookup(&mut host, &mut board, pid, va.page(), 1)
+            .lookup_run(&mut host, &mut board, pid, va.page(), 1)
             .unwrap();
         // Another page evicts (unpins) the first; the OS reclaims it.
         engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(0x200), 1)
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(0x200), 1)
             .unwrap();
         assert!(host.reclaim_page(pid, va.page()).unwrap());
         // Re-lookup: pin path faults the page in; data and translation agree.
         let r = engine
-            .lookup(&mut host, &mut board, pid, va.page(), 1)
+            .lookup_run(&mut host, &mut board, pid, va.page(), 1)
             .unwrap();
-        assert!(r.pages[0].check_miss);
+        assert!(r[0].check_miss);
         let mut buf = [0u8; 8];
-        host.physical().read(r.pages[0].phys, &mut buf).unwrap();
+        host.physical().read(r[0].phys, &mut buf).unwrap();
         assert_eq!(&buf, b"survives");
     }
 
@@ -1215,7 +1146,7 @@ mod tests {
         // Strided lookups: check misses, NI misses, pins, limit evictions.
         for i in 0..24 {
             engine
-                .lookup(&mut host, &mut board, pid, VirtPage::new(i * 3), 2)
+                .lookup_run(&mut host, &mut board, pid, VirtPage::new(i * 3), 2)
                 .unwrap();
         }
         let snap = collector.snapshot();
@@ -1227,7 +1158,7 @@ mod tests {
         // Detaching stops the stream: stats advance, metrics do not.
         engine.take_probe().expect("probe was attached");
         engine
-            .lookup(&mut host, &mut board, pid, VirtPage::new(9000), 1)
+            .lookup_run(&mut host, &mut board, pid, VirtPage::new(9000), 1)
             .unwrap();
         assert_eq!(collector.snapshot().metrics.counts.lookups, stats.lookups);
     }
@@ -1236,7 +1167,9 @@ mod tests {
     fn swapped_out_table_is_brought_back_with_one_interrupt() {
         let (mut host, mut board, mut engine, pid) = setup(small_cfg());
         let page = VirtPage::new(10);
-        engine.lookup(&mut host, &mut board, pid, page, 1).unwrap();
+        engine
+            .lookup_run(&mut host, &mut board, pid, page, 1)
+            .unwrap();
         // Swap the leaf out behind the engine's back, then evict the cache
         // line so the next lookup must go to the table.
         let state = engine.procs.get_mut(&pid).unwrap();
@@ -1246,8 +1179,10 @@ mod tests {
             .swap_out(page, phys, &mut board.sram, swap)
             .unwrap();
         engine.cache.invalidate(pid, page);
-        let r = engine.lookup(&mut host, &mut board, pid, page, 1).unwrap();
-        assert!(r.pages[0].ni_miss);
+        let r = engine
+            .lookup_run(&mut host, &mut board, pid, page, 1)
+            .unwrap();
+        assert!(r[0].ni_miss);
         assert_eq!(engine.stats(pid).unwrap().interrupts, 1);
     }
 }

@@ -14,13 +14,14 @@
 //! scattered indices, so index-neighbourhood prefetching loses its meaning
 //! and the free list must be managed.
 
+use crate::batch::{page_run_methods, HitPath};
 use crate::lookup::{UserLookupTree, UtlbIndex};
 use crate::obs::{Event, EvictReason, ProbeSlot};
 use crate::pincore::{charge_us, probe_stats_accessors, PinCore};
 use crate::policy::Policy;
 use crate::{
-    CacheConfig, CacheStats, CostModel, LookupBatch, OutcomeBuf, PageOutcome, Result,
-    SharedUtlbCache, TranslationMechanism, UtlbError,
+    CacheConfig, CacheStats, CostModel, OutcomeBuf, PageOutcome, Result, SharedUtlbCache,
+    TranslationMechanism, UtlbError,
 };
 use utlb_mem::{FrameId, Host, IntMap, PhysAddr, ProcessId, VirtPage, PAGE_SIZE};
 use utlb_nic::{Board, Nanos};
@@ -128,6 +129,20 @@ impl IndexedEngine {
             return Ok(0.0);
         }
         Ok(broken as f64 / adjacent as f64)
+    }
+}
+
+/// Pure hits are the pages whose index the user-level tree maps (its leaf
+/// slice resolved once per run, [`UserLookupTree::leaf`]) *and* whose
+/// `(pid, index)` line a stats-free cache peek finds.
+impl HitPath for IndexedEngine {
+    fn registered(&self, pid: ProcessId) -> bool {
+        self.procs.contains_key(&pid)
+    }
+
+    fn hit_charge(&self) -> Nanos {
+        Nanos::from_micros(self.cfg.cost.user_check_us)
+            + Nanos::from_micros(self.cfg.cost.ni_check_us)
     }
 
     /// Translates one page of a registered process: user-level tree lookup
@@ -255,6 +270,43 @@ impl IndexedEngine {
             ni_miss,
         })
     }
+
+    #[inline]
+    fn hit_prefix(
+        &mut self,
+        _board: &Board,
+        pid: ProcessId,
+        start: VirtPage,
+        max: u64,
+        event_ns: u64,
+        out: &mut OutcomeBuf,
+    ) -> Result<u64> {
+        let ProcState { tree, core, .. } = self.procs.get_mut(&pid).expect("checked by caller");
+        // One directory reference covers the whole leaf; walk entries
+        // whose index is mapped and whose cache line is present.
+        let (leaf, off) = tree.leaf(start).unwrap_or((&[], 0));
+        let span = (leaf.len() - off).min(max as usize);
+        let mut run = 0usize;
+        while run < span {
+            let Some(index) = leaf[off + run] else { break };
+            let key = VirtPage::new(index.0 as u64);
+            if self.cache.peek(pid, key).is_none() {
+                break;
+            }
+            let page = start.offset(run as u64);
+            core.fast_hit(page);
+            let phys = self.cache.lookup(pid, key).expect("peeked above");
+            self.probe.emit(pid, Event::Lookup { ns: event_ns });
+            out.push(PageOutcome {
+                page,
+                phys,
+                check_miss: false,
+                ni_miss: false,
+            });
+            run += 1;
+        }
+        Ok(run as u64)
+    }
 }
 
 impl TranslationMechanism for IndexedEngine {
@@ -318,99 +370,7 @@ impl TranslationMechanism for IndexedEngine {
         Ok(())
     }
 
-    fn lookup_run(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-        start: VirtPage,
-        npages: u64,
-    ) -> Result<Vec<PageOutcome>> {
-        if !self.procs.contains_key(&pid) {
-            return Err(UtlbError::UnregisteredProcess(pid));
-        }
-        let mut out = Vec::with_capacity(npages as usize);
-        for page in start.range(npages) {
-            out.push(self.lookup_page(host, board, pid, page)?);
-        }
-        Ok(out)
-    }
-
-    /// The user-level tree's leaf slice is resolved once per run
-    /// ([`UserLookupTree::leaf`]); consecutive pages whose index is mapped
-    /// *and* whose `(pid, index)` line a stats-free cache peek finds take a
-    /// coalesced fast path, their identical clock charges applied in one
-    /// advance. Any other page settles the pending charges and goes through
-    /// the scalar per-page walk unchanged, so outcomes, statistics, probe
-    /// events, and the clock are identical to
-    /// [`lookup_run`](TranslationMechanism::lookup_run).
-    fn lookup_run_into(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        batch: LookupBatch,
-        out: &mut OutcomeBuf,
-    ) -> Result<()> {
-        let LookupBatch { pid, start, npages } = batch;
-        if !self.procs.contains_key(&pid) {
-            return Err(UtlbError::UnregisteredProcess(pid));
-        }
-        let user_ns = Nanos::from_micros(self.cfg.cost.user_check_us);
-        let ni_ns = Nanos::from_micros(self.cfg.cost.ni_check_us);
-        let hit_ns = user_ns + ni_ns;
-        let hit_event_ns = hit_ns.as_nanos();
-
-        let mut pending = 0u64; // coalesced hit charges not yet on the clock
-        let mut i = 0u64;
-        while i < npages {
-            let page = start.offset(i);
-            let state = self.procs.get_mut(&pid).expect("checked above");
-            let ProcState { tree, core, .. } = state;
-            // One directory reference covers the whole leaf; walk entries
-            // whose index is mapped and whose cache line is present.
-            let (leaf, off) = match tree.leaf(page) {
-                Some(found) => found,
-                None => (&[][..], 0),
-            };
-            let span = (leaf.len() - off).min((npages - i) as usize);
-            let mut run = 0usize;
-            while run < span {
-                let Some(index) = leaf[off + run] else { break };
-                let key = VirtPage::new(index.0 as u64);
-                if self.cache.peek(pid, key).is_none() {
-                    break;
-                }
-                let page = start.offset(i + run as u64);
-                core.fast_hit(page);
-                let phys = self.cache.lookup(pid, key).expect("peeked above");
-                self.probe.emit(pid, Event::Lookup { ns: hit_event_ns });
-                out.push(PageOutcome {
-                    page,
-                    phys,
-                    check_miss: false,
-                    ni_miss: false,
-                });
-                run += 1;
-            }
-            if run == 0 {
-                // Slow page: settle the coalesced time first so the miss
-                // path sees the same absolute clock as the scalar walk.
-                if pending > 0 {
-                    board.clock.advance(hit_ns * pending);
-                    pending = 0;
-                }
-                out.push(self.lookup_page(host, board, pid, page)?);
-                i += 1;
-            } else {
-                pending += run as u64;
-                i += run as u64;
-            }
-        }
-        if pending > 0 {
-            board.clock.advance(hit_ns * pending);
-        }
-        Ok(())
-    }
+    page_run_methods!();
 
     fn cache_stats(&self) -> CacheStats {
         self.cache.stats()

@@ -11,12 +11,13 @@
 //! The cache structure is identical to UTLB's [`SharedUtlbCache`] — the
 //! study assumes "the cache structures are the same for both cases".
 
+use crate::batch::{page_run_methods, HitPath};
 use crate::obs::{Event, EvictReason, ProbeSlot};
 use crate::pincore::{charge_us, probe_stats_accessors, PinCore};
 use crate::policy::Policy;
 use crate::{
-    CacheConfig, CacheStats, CostModel, LookupBatch, OutcomeBuf, PageOutcome, Result,
-    SharedUtlbCache, TranslationMechanism, UtlbError,
+    CacheConfig, CacheStats, CostModel, OutcomeBuf, PageOutcome, Result, SharedUtlbCache,
+    TranslationMechanism, UtlbError,
 };
 use utlb_mem::{Host, IntMap, ProcessId, VirtPage};
 use utlb_nic::{Board, Nanos};
@@ -73,6 +74,20 @@ impl IntrEngine {
     /// The NIC translation cache.
     pub fn cache(&self) -> &SharedUtlbCache {
         &self.cache
+    }
+}
+
+/// Pure hits are the pages a stats-free cache peek finds present. A miss
+/// may unpin a *different* process's page via a conflict eviction, so the
+/// whole interrupt path stays in [`lookup_page`](HitPath::lookup_page).
+impl HitPath for IntrEngine {
+    fn registered(&self, pid: ProcessId) -> bool {
+        self.procs.contains_key(&pid)
+    }
+
+    fn hit_charge(&self) -> Nanos {
+        // No user-level check in this design: a hit charges only the NIC.
+        Nanos::from_micros(self.cfg.cost.ni_check_us)
     }
 
     /// Translates one page of a registered process. There is no user-level
@@ -181,6 +196,38 @@ impl IntrEngine {
             ni_miss: true,
         })
     }
+
+    #[inline]
+    fn hit_prefix(
+        &mut self,
+        _board: &Board,
+        pid: ProcessId,
+        start: VirtPage,
+        max: u64,
+        event_ns: u64,
+        out: &mut OutcomeBuf,
+    ) -> Result<u64> {
+        let core = self.procs.get_mut(&pid).expect("checked by caller");
+        let mut run = 0u64;
+        while run < max {
+            let page = start.offset(run);
+            let Some(phys) = self.cache.peek(pid, page) else {
+                break;
+            };
+            let looked_up = self.cache.lookup(pid, page);
+            debug_assert_eq!(looked_up, Some(phys), "peek agrees with lookup");
+            core.fast_hit(page);
+            self.probe.emit(pid, Event::Lookup { ns: event_ns });
+            out.push(PageOutcome {
+                page,
+                phys,
+                check_miss: false,
+                ni_miss: false,
+            });
+            run += 1;
+        }
+        Ok(run)
+    }
 }
 
 impl TranslationMechanism for IntrEngine {
@@ -228,91 +275,7 @@ impl TranslationMechanism for IntrEngine {
         Ok(())
     }
 
-    fn lookup_run(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        pid: ProcessId,
-        start: VirtPage,
-        npages: u64,
-    ) -> Result<Vec<PageOutcome>> {
-        if !self.procs.contains_key(&pid) {
-            return Err(UtlbError::UnregisteredProcess(pid));
-        }
-        let mut out = Vec::with_capacity(npages as usize);
-        for page in start.range(npages) {
-            out.push(self.lookup_page(host, board, pid, page)?);
-        }
-        Ok(out)
-    }
-
-    /// Consecutive pages a stats-free cache peek finds present take a
-    /// coalesced fast path — their identical NIC-check charges applied in
-    /// one clock advance. Any missing page settles the pending charges and
-    /// goes through the scalar per-page walk unchanged (a miss may unpin a
-    /// *different* process's page via a conflict eviction, so the whole
-    /// interrupt path stays scalar); outcomes, statistics, probe events,
-    /// and the clock are identical to
-    /// [`lookup_run`](TranslationMechanism::lookup_run).
-    fn lookup_run_into(
-        &mut self,
-        host: &mut Host,
-        board: &mut Board,
-        batch: LookupBatch,
-        out: &mut OutcomeBuf,
-    ) -> Result<()> {
-        let LookupBatch { pid, start, npages } = batch;
-        if !self.procs.contains_key(&pid) {
-            return Err(UtlbError::UnregisteredProcess(pid));
-        }
-        // A hit charges only the NIC check; its Lookup event carries that
-        // clock delta, independent of absolute time.
-        let hit_ns = Nanos::from_micros(self.cfg.cost.ni_check_us);
-        let hit_event_ns = hit_ns.as_nanos();
-
-        let mut pending = 0u64; // coalesced hit charges not yet on the clock
-        let mut i = 0u64;
-        while i < npages {
-            let page = start.offset(i);
-            if self.cache.peek(pid, page).is_none() {
-                // Miss: settle the coalesced time first so the interrupt
-                // path sees the same absolute clock as the scalar walk.
-                if pending > 0 {
-                    board.clock.advance(hit_ns * pending);
-                    pending = 0;
-                }
-                out.push(self.lookup_page(host, board, pid, page)?);
-                i += 1;
-                continue;
-            }
-            // Run of cached pages: one state resolution, deferred charges.
-            let core = self.procs.get_mut(&pid).expect("checked above");
-            let mut run = 0u64;
-            while i + run < npages {
-                let page = start.offset(i + run);
-                let Some(phys) = self.cache.peek(pid, page) else {
-                    break;
-                };
-                let looked_up = self.cache.lookup(pid, page);
-                debug_assert_eq!(looked_up, Some(phys), "peek agrees with lookup");
-                core.fast_hit(page);
-                self.probe.emit(pid, Event::Lookup { ns: hit_event_ns });
-                out.push(PageOutcome {
-                    page,
-                    phys,
-                    check_miss: false,
-                    ni_miss: false,
-                });
-                run += 1;
-            }
-            pending += run;
-            i += run;
-        }
-        if pending > 0 {
-            board.clock.advance(hit_ns * pending);
-        }
-        Ok(())
-    }
+    page_run_methods!();
 
     fn cache_stats(&self) -> CacheStats {
         self.cache.stats()

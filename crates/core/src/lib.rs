@@ -54,11 +54,11 @@
 //!
 //! // First use of a buffer: pinned on demand, translations installed.
 //! let report = utlb.lookup_buffer(&mut host, &mut board, pid, VirtAddr::new(0x10_0000), 8192)?;
-//! assert!(report.pages.iter().all(|p| p.check_miss));
+//! assert!(report.iter().all(|p| p.check_miss));
 //!
 //! // Second use: pure fast path — no syscalls, no interrupts.
 //! let report = utlb.lookup_buffer(&mut host, &mut board, pid, VirtAddr::new(0x10_0000), 8192)?;
-//! assert!(report.pages.iter().all(|p| !p.check_miss && !p.ni_miss));
+//! assert!(report.iter().all(|p| !p.check_miss && !p.ni_miss));
 //! # Ok(())
 //! # }
 //! ```
@@ -90,7 +90,7 @@ pub use bitvec::{CheckOutcome, DenseBits, PinBitVector};
 pub use cache::{Associativity, CacheConfig, CacheStats, Evicted, SharedUtlbCache};
 pub use cost::{CostModel, LookupRates};
 pub use demand::{page_demands, page_demands_into, PageDemand};
-pub use engine::{LookupReport, PageOutcome, UtlbConfig, UtlbEngine};
+pub use engine::{PageOutcome, UtlbConfig, UtlbEngine};
 pub use error::UtlbError;
 pub use hier::{DirEntry, HierTable, DIR_ENTRIES, LEAF_ENTRIES};
 pub use indexed::{IndexedConfig, IndexedEngine};

@@ -83,13 +83,14 @@ pub trait TranslationMechanism {
     ) -> Result<Vec<PageOutcome>>;
 
     /// Translates a batch into a caller-owned buffer, appending one outcome
-    /// per page — the allocation-free path the replay runners drive.
+    /// per page — the path the replay runners drive. A pure hit allocates
+    /// nothing; a NIC miss or a pin may allocate inside the engine.
     ///
     /// Outcomes, statistics, probe events, and clock charges are identical
     /// to [`lookup_run`](TranslationMechanism::lookup_run); only the
-    /// software overhead differs. The four engines implement it with fast
-    /// paths that resolve per-process state once per record and coalesce
-    /// runs of consecutive hit pages.
+    /// software overhead differs. The four engines share one walk that
+    /// coalesces the clock charges of each run of consecutive hit pages;
+    /// each engine finds those runs in its own translation structure.
     ///
     /// # Errors
     ///

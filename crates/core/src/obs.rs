@@ -369,11 +369,6 @@ impl Histogram {
         }
     }
 
-    /// Smallest sample (0 when empty).
-    pub fn min_ns(&self) -> u64 {
-        self.min
-    }
-
     /// Largest sample (0 when empty).
     pub fn max_ns(&self) -> u64 {
         self.max
@@ -695,11 +690,6 @@ impl TraceRecorder {
         self.seq += 1;
     }
 
-    /// Events recorded in total (including ones since evicted).
-    pub fn total_recorded(&self) -> u64 {
-        self.seq
-    }
-
     /// The retained events of `pid`, oldest first (empty if unknown).
     pub fn events(&self, pid: ProcessId) -> Vec<TimedEvent> {
         self.rings
@@ -822,7 +812,6 @@ mod tests {
         }
         assert_eq!(h.count(), 7);
         assert_eq!(h.sum_ns(), 2034);
-        assert_eq!(h.min_ns(), 0);
         assert_eq!(h.max_ns(), 1024);
         let occupied = h.occupied_buckets();
         // 0 → [0,0]; 1 → [1,1]; 2,3 → [2,3]; 4 → [4,7]; 1000 → [512,1023];
@@ -1029,7 +1018,6 @@ mod tests {
         assert_eq!(dump[0].dropped, 2);
         assert_eq!(dump[1].pid, 2);
         assert_eq!(dump[1].dropped, 0);
-        assert_eq!(r.total_recorded(), 6);
     }
 
     #[test]

@@ -65,11 +65,6 @@ impl PerProcessTable {
         self.capacity
     }
 
-    /// Number of free slots remaining.
-    pub fn free_slots(&self) -> usize {
-        self.free.len()
-    }
-
     /// Reserves a free slot, if any.
     pub fn alloc_slot(&mut self) -> Option<UtlbIndex> {
         self.free.pop().map(UtlbIndex)
@@ -167,7 +162,6 @@ mod tests {
         assert_eq!(t.read(idx, &sram).unwrap(), PhysAddr::new(0x0123_4000));
         t.evict(idx, &mut sram).unwrap();
         assert_eq!(t.read(idx, &sram).unwrap(), PhysAddr::new(0x00BA_D000));
-        assert_eq!(t.free_slots(), 4);
     }
 
     #[test]

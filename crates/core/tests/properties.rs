@@ -311,7 +311,7 @@ proptest! {
         engine.register_process(&mut host, &mut board, pid).unwrap();
         for vpn in lookups {
             let report = engine
-                .lookup(&mut host, &mut board, pid, VirtPage::new(vpn), 1)
+                .lookup_run(&mut host, &mut board, pid, VirtPage::new(vpn), 1)
                 .unwrap();
             // Correctness: the returned frame is the process' real mapping.
             let expected = host
@@ -319,7 +319,7 @@ proptest! {
                 .space()
                 .translate(VirtPage::new(vpn))
                 .expect("pinned pages are mapped");
-            prop_assert_eq!(report.pages[0].phys, expected.base());
+            prop_assert_eq!(report[0].phys, expected.base());
             let pinned = host.driver().pins().pinned_pages(pid);
             prop_assert!(pinned <= limit, "pinned {pinned} > limit {limit}");
             let s = engine.stats(pid).unwrap();
@@ -353,9 +353,8 @@ proptest! {
                 .iter()
                 .map(|&v| {
                     engine
-                        .lookup(&mut host, &mut board, pid, VirtPage::new(v), 1)
-                        .unwrap()
-                        .pages[0]
+                        .lookup_run(&mut host, &mut board, pid, VirtPage::new(v), 1)
+                        .unwrap()[0]
                         .phys
                         .raw()
                 })

@@ -9,6 +9,9 @@
 //! require the refactored runners to produce byte-identical JSON.
 
 use proptest::prelude::*;
+use std::cell::RefCell;
+use std::rc::Rc;
+use utlb_core::obs::{Event, Probe};
 use utlb_core::{
     CacheStats, IndexedEngine, IntrEngine, LookupBatch, OutcomeBuf, PerProcessEngine,
     TranslationMechanism, TranslationStats, UtlbEngine,
@@ -103,7 +106,7 @@ fn legacy_run_utlb(trace: &Trace, cfg: &SimConfig) -> SimResult {
         let report = engine
             .lookup_buffer(&mut host, &mut board, rec.pid, rec.va, rec.nbytes)
             .expect("trace lookups succeed");
-        for page in &report.pages {
+        for page in &report {
             classifier.access(rec.pid, page.page, page.ni_miss);
         }
     }
@@ -389,11 +392,31 @@ fn scalar_run_mechanism(mech: Mechanism, trace: &Trace, cfg: &SimConfig) -> SimR
     }
 }
 
+/// A probe that records every event with its pid into a buffer the test
+/// shares. The engines' `Lookup` events carry clock deltas, not absolute
+/// times, so two engines that agree emit equal streams.
+#[derive(Debug, Clone, Default)]
+struct EventLog(Rc<RefCell<Vec<(ProcessId, Event)>>>);
+
+impl Probe for EventLog {
+    fn on_event(&mut self, pid: ProcessId, event: Event) {
+        self.0.borrow_mut().push((pid, event));
+    }
+}
+
+impl EventLog {
+    /// Takes the events recorded since the last call.
+    fn drain(&self) -> Vec<(ProcessId, Event)> {
+        std::mem::take(&mut *self.0.borrow_mut())
+    }
+}
+
 /// Drives two engines of the same type in lockstep — one through scalar
 /// `lookup_run`, one through batched `lookup_run_into` — asserting after
-/// *every record* that outcomes and simulated clocks agree, and at the end
-/// that all statistics do. Stronger than end-state JSON comparison: a
-/// transient divergence that later cancels out would still fail here.
+/// *every record* that outcomes, probe events and simulated clocks agree,
+/// and at the end that all statistics do. Stronger than end-state JSON
+/// comparison: a transient divergence that later cancels out would still
+/// fail here.
 fn assert_batched_lockstep_matches_scalar<M: TranslationMechanism>(
     scalar: &mut M,
     batched: &mut M,
@@ -416,6 +439,11 @@ fn assert_batched_lockstep_matches_scalar<M: TranslationMechanism>(
             .expect("registration succeeds");
     }
 
+    let (events_s, events_b) = (EventLog::default(), EventLog::default());
+    scalar.set_probe(Box::new(events_s.clone()));
+    batched.set_probe(Box::new(events_b.clone()));
+
+    let mut events_seen = 0;
     let mut out = OutcomeBuf::new();
     for (ix, rec) in trace.records.iter().enumerate() {
         board_s.clock.advance_to(Nanos::from_nanos(rec.ts_ns));
@@ -443,7 +471,15 @@ fn assert_batched_lockstep_matches_scalar<M: TranslationMechanism>(
             board_b.clock.now(),
             "clocks diverge at record {ix}"
         );
+        let events = events_s.drain();
+        assert_eq!(
+            events_b.drain(),
+            events,
+            "probe events diverge at record {ix}"
+        );
+        events_seen += events.len();
     }
+    assert!(events_seen > 0, "the probes saw the replay");
 
     assert_eq!(scalar.aggregate_stats(), batched.aggregate_stats());
     assert_eq!(scalar.cache_stats(), batched.cache_stats());

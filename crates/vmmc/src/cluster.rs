@@ -406,7 +406,7 @@ impl Cluster {
                 cursor,
                 chunk as u64,
             )?;
-            let pa = report.pages[0].phys.offset(cursor.page_offset());
+            let pa = report[0].phys.offset(cursor.page_offset());
             node.host
                 .physical_mut()
                 .write(pa, &data[done..done + chunk])?;
@@ -432,7 +432,7 @@ impl Cluster {
                 cursor,
                 chunk as u64,
             )?;
-            let pa = report.pages[0].phys.offset(cursor.page_offset());
+            let pa = report[0].phys.offset(cursor.page_offset());
             node.host
                 .physical()
                 .read(pa, &mut buf[done..done + chunk])?;

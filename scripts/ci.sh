@@ -100,8 +100,9 @@ cargo test -q --offline -p utlb-sim --test des_equivalence
 echo "== DES: contention experiments (load monotonicity, interference, per-mechanism axis)"
 filtered_test -p utlb-sim contention::
 
-echo "== batched lookup path: scalar-equivalence gate"
+echo "== shared page-run walk: batched-vs-scalar equivalence gate (outcomes, clock, probe events)"
 filtered_test -p utlb-sim --test equivalence scalar
+filtered_test -p utlb-sim --test equivalence batched_lookup_matches_scalar_lockstep_for_all_mechanisms
 filtered_test -p utlb-core batch::
 filtered_test -p utlb-core pinned_prefix
 filtered_test -p utlb-bench scalar_baseline
