@@ -6,14 +6,17 @@
 //! size), and **conflict** (everything else — a set-mapping artifact).
 //!
 //! The classifier shadows the real cache with a fully-associative LRU of
-//! equal capacity, updated on every access, plus a first-reference set.
-//! The shadow uses tick-stamped queue entries so refreshes are O(1)
-//! amortized: stale queue positions are skipped at eviction time.
+//! equal capacity, updated on every access. Each key ever seen owns one
+//! slot, found by a single [`IntMap`] probe per access: a vacant entry is a
+//! first reference, and an occupied one says through the slot's resident
+//! flag whether the key is in the shadow. Resident slots form an intrusive
+//! doubly linked recency list (most recent at the head), so a touch and an
+//! eviction are O(1) and memory is bounded by the distinct keys.
 
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
 use utlb_core::PageOutcome;
-use utlb_mem::{ProcessId, VirtPage};
+use utlb_mem::{IntMap, ProcessId, VirtPage};
 
 /// Classification of one NIC translation miss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -59,17 +62,32 @@ impl MissBreakdown {
 
 type Key = (u32, u64);
 
+/// End of the recency list.
+const NIL: u32 = u32::MAX;
+
+/// One key's place in the shadow: its recency-list links while resident.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// Next more recently used resident slot, or [`NIL`] at the head.
+    prev: u32,
+    /// Next less recently used resident slot, or [`NIL`] at the tail.
+    next: u32,
+    resident: bool,
+}
+
 /// Streaming 3C classifier.
 #[derive(Debug)]
 pub struct MissClassifier {
     capacity: usize,
-    seen: HashSet<Key>,
-    /// Tick of the most recent touch per resident key.
-    latest: HashMap<Key, u64>,
-    /// Touch history; entries whose tick is older than `latest[key]` are
-    /// stale and skipped at eviction time.
-    queue: VecDeque<(Key, u64)>,
-    tick: u64,
+    /// Every key ever seen, to its slot in `slots`.
+    index: IntMap<Key, u32>,
+    slots: Vec<Slot>,
+    /// Most recently used resident slot, or [`NIL`] when the shadow is empty.
+    head: u32,
+    /// Least recently used resident slot, or [`NIL`] when the shadow is empty.
+    tail: u32,
+    /// Resident slots: the shadow's occupancy, at most `capacity`.
+    resident: usize,
     breakdown: MissBreakdown,
 }
 
@@ -83,10 +101,11 @@ impl MissClassifier {
         assert!(capacity > 0, "shadow capacity must be positive");
         MissClassifier {
             capacity,
-            seen: HashSet::new(),
-            latest: HashMap::new(),
-            queue: VecDeque::new(),
-            tick: 0,
+            index: IntMap::default(),
+            slots: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            resident: 0,
             breakdown: MissBreakdown::default(),
         }
     }
@@ -100,31 +119,38 @@ impl MissClassifier {
     /// classifies the miss. Call on every access, hit or miss, so the
     /// shadow tracks recency faithfully.
     pub fn access(&mut self, pid: ProcessId, page: VirtPage, real_miss: bool) -> Option<MissKind> {
-        let key = (pid.raw(), page.number());
-        let first_ref = !self.seen.contains(&key);
-        let in_shadow = self.latest.contains_key(&key);
-
-        let kind = if real_miss {
-            let k = if first_ref {
-                MissKind::Compulsory
-            } else if in_shadow {
-                MissKind::Conflict
-            } else {
-                MissKind::Capacity
-            };
-            match k {
-                MissKind::Compulsory => self.breakdown.compulsory += 1,
-                MissKind::Capacity => self.breakdown.capacity += 1,
-                MissKind::Conflict => self.breakdown.conflict += 1,
+        let (slot, kind) = match self.index.entry((pid.raw(), page.number())) {
+            Entry::Vacant(e) => {
+                assert!(self.slots.len() < NIL as usize, "too many distinct keys");
+                let slot = self.slots.len() as u32;
+                e.insert(slot);
+                self.slots.push(Slot {
+                    prev: NIL,
+                    next: NIL,
+                    resident: false,
+                });
+                (slot, MissKind::Compulsory)
             }
-            Some(k)
-        } else {
-            None
+            Entry::Occupied(e) => {
+                let slot = *e.get();
+                let kind = if self.slots[slot as usize].resident {
+                    MissKind::Conflict
+                } else {
+                    MissKind::Capacity
+                };
+                (slot, kind)
+            }
         };
-
-        self.seen.insert(key);
-        self.shadow_touch(key);
-        kind
+        self.touch(slot);
+        if !real_miss {
+            return None;
+        }
+        match kind {
+            MissKind::Compulsory => self.breakdown.compulsory += 1,
+            MissKind::Capacity => self.breakdown.capacity += 1,
+            MissKind::Conflict => self.breakdown.conflict += 1,
+        }
+        Some(kind)
     }
 
     /// Feeds a whole record's page outcomes — as produced by
@@ -137,30 +163,48 @@ impl MissClassifier {
         }
     }
 
-    fn shadow_touch(&mut self, key: Key) {
-        self.tick += 1;
-        self.latest.insert(key, self.tick);
-        self.queue.push_back((key, self.tick));
-        while self.latest.len() > self.capacity {
-            let (k, t) = self.queue.pop_front().expect("queue covers residents");
-            match self.latest.get(&k) {
-                Some(&newest) if newest == t => {
-                    self.latest.remove(&k); // genuine LRU eviction
-                }
-                _ => {} // stale queue position; the key was touched later
+    /// Makes `slot` the most recently used resident, evicting the least
+    /// recently used one if the shadow overflows.
+    fn touch(&mut self, slot: u32) {
+        if self.slots[slot as usize].resident {
+            if self.head == slot {
+                return;
             }
+            self.unlink(slot);
+        } else {
+            self.slots[slot as usize].resident = true;
+            self.resident += 1;
         }
-        // Stale positions are skipped by the eviction loop, so they are
-        // semantically dead weight — but when the resident set never fills
-        // the shadow the loop above never runs and they accumulate one per
-        // access. Compact once they dominate: `retain` keeps order, drops
-        // only entries already superseded by a newer touch, and the
-        // doubling threshold makes the rebuild amortized O(1) per touch
-        // while bounding the queue at O(capacity).
-        if self.queue.len() > 2 * self.latest.len() + 64 {
-            let latest = &self.latest;
-            self.queue.retain(|&(k, t)| latest.get(&k) == Some(&t));
+        self.push_head(slot);
+        if self.resident > self.capacity {
+            let lru = self.tail;
+            self.unlink(lru);
+            self.slots[lru as usize].resident = false;
+            self.resident -= 1;
         }
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let Slot { prev, next, .. } = self.slots[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    fn push_head(&mut self, slot: u32) {
+        let old = self.head;
+        self.slots[slot as usize].prev = NIL;
+        self.slots[slot as usize].next = old;
+        match old {
+            NIL => self.tail = slot,
+            h => self.slots[h as usize].prev = slot,
+        }
+        self.head = slot;
     }
 }
 
@@ -233,10 +277,10 @@ mod tests {
     }
 
     #[test]
-    fn stale_queue_entries_do_not_evict_refreshed_keys() {
+    fn repeated_touches_do_not_evict_refreshed_keys() {
         let mut c = MissClassifier::new(2);
         c.access(pid(1), page(0), true);
-        // Touch page 0 many times, creating stale queue entries.
+        // Touch page 0 many times while it is already the most recent.
         for _ in 0..10 {
             c.access(pid(1), page(0), false);
         }
@@ -247,22 +291,20 @@ mod tests {
         assert_eq!(c.access(pid(1), page(1), true), Some(MissKind::Capacity));
     }
 
-    /// A working set smaller than the shadow never triggers eviction, so
-    /// without eager compaction the touch history would grow one entry per
-    /// access — ~2.4 GB over a 100 M-lookup streamed run. The queue must
-    /// stay O(capacity) regardless of access count.
+    /// A working set smaller than the shadow never triggers eviction. The
+    /// classifier's memory must still stay one slot per distinct key however
+    /// many accesses it sees — a 100 M-lookup streamed run must not grow it.
     #[test]
-    fn queue_stays_bounded_when_working_set_fits_the_shadow() {
+    fn slots_stay_bounded_when_working_set_fits_the_shadow() {
         let mut c = MissClassifier::new(8192);
         for i in 0..200_000u64 {
             c.access(pid(1), page(i % 64), i % 64 == i);
         }
-        assert!(
-            c.queue.len() <= 2 * c.latest.len() + 64,
-            "queue grew to {} entries over {} resident keys",
-            c.queue.len(),
-            c.latest.len()
-        );
+        assert_eq!(c.index.len(), 64, "one index entry per distinct key");
+        assert_eq!(c.slots.len(), 64, "one slot per distinct key");
+        let resident = c.slots.iter().filter(|s| s.resident).count();
+        assert_eq!(resident, c.resident);
+        assert!(resident <= c.capacity, "{resident} resident keys");
         // Classification is unaffected: all 64 pages are resident, so a
         // real miss on any of them is a conflict, and the breakdown saw
         // exactly the 64 compulsory misses.

@@ -57,8 +57,6 @@ mod reactor;
 use crate::{Mechanism, Run, RunOutputExt, SimConfig};
 use reactor::ReqGen;
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use utlb_core::obs::Histogram;
 use utlb_core::{CacheStats, TranslationStats};
 use utlb_des::AdmissionStats;
@@ -218,7 +216,7 @@ impl FrontendResult {
 
 /// Materializes the zero-backpressure image of a front-end workload as a
 /// [`Trace`]: every connection's full request sequence at its *arrival*
-/// times, merged in the reactor's `(timestamp, pid)` order.
+/// times, sorted into the reactor's `(timestamp, pid)` admission order.
 ///
 /// With `connections <= open_window` every peer opens at time zero in index
 /// order, so connection *i* is pid *i + 1* and the trace replays through
@@ -240,31 +238,23 @@ pub fn frontend_trace(fcfg: &FrontendConfig) -> Trace {
         fcfg.connections <= fcfg.open_window,
         "a materialized frontend trace needs every connection open from time zero"
     );
-    let mut heap: BinaryHeap<Reverse<(u64, u32, usize)>> = BinaryHeap::new();
-    let mut gens: Vec<ReqGen> = Vec::with_capacity(fcfg.connections);
-    let mut pending: Vec<Option<reactor::Req>> = Vec::with_capacity(fcfg.connections);
-    for index in 0..fcfg.connections {
-        let mut g = ReqGen::new(fcfg, index as u64, 0);
-        let first = g.next(fcfg).expect("validated config issues requests");
-        heap.push(Reverse((first.ts_ns, index as u32 + 1, index)));
-        gens.push(g);
-        pending.push(Some(first));
-    }
     let mut records = Vec::with_capacity(fcfg.connections * fcfg.requests_per_conn);
-    while let Some(Reverse((_, praw, index))) = heap.pop() {
-        let req = pending[index].take().expect("heap entries have a request");
-        records.push(TraceRecord {
-            ts_ns: req.ts_ns,
-            pid: ProcessId::new(praw),
-            op: req.op,
-            va: req.va,
-            nbytes: req.nbytes,
-        });
-        if let Some(next) = gens[index].next(fcfg) {
-            heap.push(Reverse((next.ts_ns, praw, index)));
-            pending[index] = Some(next);
+    for index in 0..fcfg.connections {
+        let pid = ProcessId::new(index as u32 + 1);
+        let mut g = ReqGen::new(fcfg, index as u64, 0);
+        while let Some(req) = g.next(fcfg) {
+            records.push(TraceRecord {
+                ts_ns: req.ts_ns,
+                pid,
+                op: req.op,
+                va: req.va,
+                nbytes: req.nbytes,
+            });
         }
     }
+    // Arrivals strictly increase within a connection, so `(ts, pid)` is
+    // unique and sorting by it yields the reactor's admission order.
+    records.sort_unstable_by_key(|r| (r.ts_ns, r.pid));
     Trace::new("frontend", fcfg.seed, records)
 }
 
@@ -293,6 +283,66 @@ mod tests {
             open_window: 4,
             requests_per_conn: 5,
             ..FrontendConfig::default()
+        }
+    }
+
+    /// The k-way heap merge `frontend_trace` used before it sorted: one
+    /// generator per connection, admitted in `(timestamp, pid)` order.
+    fn heap_merged_trace(fcfg: &FrontendConfig) -> Vec<TraceRecord> {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut heap: BinaryHeap<Reverse<(u64, u32, usize)>> = BinaryHeap::new();
+        let mut gens: Vec<ReqGen> = Vec::with_capacity(fcfg.connections);
+        let mut pending: Vec<Option<reactor::Req>> = Vec::with_capacity(fcfg.connections);
+        for index in 0..fcfg.connections {
+            let mut g = ReqGen::new(fcfg, index as u64, 0);
+            let first = g.next(fcfg).expect("validated config issues requests");
+            heap.push(Reverse((first.ts_ns, index as u32 + 1, index)));
+            gens.push(g);
+            pending.push(Some(first));
+        }
+        let mut records = Vec::with_capacity(fcfg.connections * fcfg.requests_per_conn);
+        while let Some(Reverse((_, praw, index))) = heap.pop() {
+            let req = pending[index].take().expect("heap entries have a request");
+            records.push(TraceRecord {
+                ts_ns: req.ts_ns,
+                pid: ProcessId::new(praw),
+                op: req.op,
+                va: req.va,
+                nbytes: req.nbytes,
+            });
+            if let Some(next) = gens[index].next(fcfg) {
+                heap.push(Reverse((next.ts_ns, praw, index)));
+                pending[index] = Some(next);
+            }
+        }
+        records
+    }
+
+    /// Sorting every connection's requests by `(timestamp, pid)` yields
+    /// the heap merge's order, also when `think_ns: 1` puts every
+    /// connection's n-th request at the same instant.
+    #[test]
+    fn frontend_trace_matches_heap_merge() {
+        for connections in [1, 3, 1_000] {
+            for think_ns in [1, 2_000] {
+                let fcfg = FrontendConfig {
+                    connections,
+                    open_window: connections,
+                    think_ns,
+                    ..FrontendConfig::default()
+                };
+                let heap = heap_merged_trace(&fcfg);
+                assert_eq!(heap.len(), connections * fcfg.requests_per_conn);
+                if think_ns == 1 && connections > 1 {
+                    assert_eq!(heap[0].ts_ns, heap[connections - 1].ts_ns, "ties");
+                }
+                assert_eq!(
+                    frontend_trace(&fcfg).records,
+                    heap,
+                    "{connections} connections, think_ns {think_ns}"
+                );
+            }
         }
     }
 

@@ -1,8 +1,11 @@
 //! Property-based tests of the simulation layer.
 
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet, VecDeque};
 use utlb_mem::{ProcessId, VirtPage};
-use utlb_sim::{Mechanism, MissClassifier, MissKind, Run, RunOutputExt, SimConfig, SimResult};
+use utlb_sim::{
+    Mechanism, MissBreakdown, MissClassifier, MissKind, Run, RunOutputExt, SimConfig, SimResult,
+};
 use utlb_trace::{gen, GenConfig, SplashApp, Trace};
 
 fn run_utlb(trace: &Trace, cfg: &SimConfig) -> SimResult {
@@ -25,7 +28,7 @@ fn run_intr(trace: &Trace, cfg: &SimConfig) -> SimResult {
 /// (O(n) per access) plus a seen-set.
 struct NaiveClassifier {
     capacity: usize,
-    seen: std::collections::HashSet<(u32, u64)>,
+    seen: HashSet<(u32, u64)>,
     lru: Vec<(u32, u64)>, // most recent last
 }
 
@@ -61,6 +64,90 @@ impl NaiveClassifier {
     }
 }
 
+/// The tick-stamped classifier the slot-list one replaced, kept verbatim as
+/// a reference: a seen-set, a tick per resident key and a touch queue whose
+/// stale positions are skipped at eviction time.
+struct TickClassifier {
+    capacity: usize,
+    seen: HashSet<(u32, u64)>,
+    latest: HashMap<(u32, u64), u64>,
+    queue: VecDeque<((u32, u64), u64)>,
+    tick: u64,
+    breakdown: MissBreakdown,
+}
+
+impl TickClassifier {
+    fn new(capacity: usize) -> Self {
+        TickClassifier {
+            capacity,
+            seen: HashSet::new(),
+            latest: HashMap::new(),
+            queue: VecDeque::new(),
+            tick: 0,
+            breakdown: MissBreakdown::default(),
+        }
+    }
+
+    fn access(&mut self, pid: ProcessId, page: VirtPage, real_miss: bool) -> Option<MissKind> {
+        let key = (pid.raw(), page.number());
+        let first_ref = !self.seen.contains(&key);
+        let in_shadow = self.latest.contains_key(&key);
+
+        let kind = if real_miss {
+            let k = if first_ref {
+                MissKind::Compulsory
+            } else if in_shadow {
+                MissKind::Conflict
+            } else {
+                MissKind::Capacity
+            };
+            match k {
+                MissKind::Compulsory => self.breakdown.compulsory += 1,
+                MissKind::Capacity => self.breakdown.capacity += 1,
+                MissKind::Conflict => self.breakdown.conflict += 1,
+            }
+            Some(k)
+        } else {
+            None
+        };
+
+        self.seen.insert(key);
+        self.shadow_touch(key);
+        kind
+    }
+
+    fn shadow_touch(&mut self, key: (u32, u64)) {
+        self.tick += 1;
+        self.latest.insert(key, self.tick);
+        self.queue.push_back((key, self.tick));
+        while self.latest.len() > self.capacity {
+            let (k, t) = self.queue.pop_front().expect("queue covers residents");
+            match self.latest.get(&k) {
+                Some(&newest) if newest == t => {
+                    self.latest.remove(&k); // genuine LRU eviction
+                }
+                _ => {} // stale queue position; the key was touched later
+            }
+        }
+        if self.queue.len() > 2 * self.latest.len() + 64 {
+            let latest = &self.latest;
+            self.queue.retain(|&(k, t)| latest.get(&k) == Some(&t));
+        }
+    }
+}
+
+/// A shadow capacity, then an access stream over 1–4 pids whose key space
+/// is at most four times that capacity.
+fn arb_classifier_stream() -> impl Strategy<Value = (usize, Vec<(u32, u64, bool)>)> {
+    (1usize..=64)
+        .prop_flat_map(|cap| (Just(cap), 1u32..=4, 1..=4 * cap as u64))
+        .prop_flat_map(|(cap, pids, keys)| {
+            let pages = keys.div_ceil(u64::from(pids));
+            let access = (1..=pids, 0..pages, any::<bool>());
+            (Just(cap), proptest::collection::vec(access, 1..5001))
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -78,6 +165,21 @@ proptest! {
             let b = slow.access(pid, vpn, miss);
             prop_assert_eq!(a, b);
         }
+    }
+
+    /// The slot-list classifier returns the same kind on every access, and
+    /// ends on the same breakdown, as the tick-stamped one it replaced.
+    #[test]
+    fn classifier_matches_tick_stamped_classifier(
+        (capacity, stream) in arb_classifier_stream(),
+    ) {
+        let mut fast = MissClassifier::new(capacity);
+        let mut old = TickClassifier::new(capacity);
+        for (pid, vpn, miss) in stream {
+            let (pid, page) = (ProcessId::new(pid), VirtPage::new(vpn));
+            prop_assert_eq!(fast.access(pid, page, miss), old.access(pid, page, miss));
+        }
+        prop_assert_eq!(fast.breakdown(), old.breakdown);
     }
 
     /// Cross-mechanism invariants hold for any cache geometry on any app.

@@ -8,7 +8,7 @@
 use crate::stream::TraceStream;
 use crate::TraceRecord;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use utlb_mem::ProcessId;
 
 /// Merges per-process record streams (each already in timestamp order) into
@@ -37,11 +37,14 @@ pub fn merge_streams(streams: Vec<Vec<TraceRecord>>) -> Vec<TraceRecord> {
         }
     }
     let mut out = Vec::with_capacity(total);
-    while let Some(Reverse((_, _, i))) = heap.pop() {
-        let rec = heads[i].next().expect("stream head exists");
-        out.push(rec);
-        if let Some(r) = heads[i].peek() {
-            heap.push(Reverse((r.ts_ns, r.pid.raw(), i)));
+    while let Some(mut top) = heap.peek_mut() {
+        let i = top.0 .2;
+        out.push(heads[i].next().expect("stream head exists"));
+        match heads[i].peek() {
+            Some(r) => top.0 = (r.ts_ns, r.pid.raw(), i),
+            None => {
+                PeekMut::pop(top);
+            }
         }
     }
     out
@@ -107,16 +110,26 @@ impl<S: TraceStream> MergedStream<S> {
 
 impl<S: TraceStream> TraceStream for MergedStream<S> {
     fn next_record(&mut self) -> Option<TraceRecord> {
-        let Reverse((_, _, i)) = self.heap.pop()?;
+        // The top entry is replaced in place by the stream's next head (one
+        // sift-down), or popped once the stream is exhausted. Keys end in
+        // the stream index, so they are unique and the output order does
+        // not depend on the heap's shape.
+        let mut top = self.heap.peek_mut()?;
+        let i = top.0 .2;
         let rec = self.heads[i].take().expect("heap entries have a head");
         assert!(
             rec.ts_ns >= self.last_ts[i],
             "input stream out of timestamp order"
         );
         self.last_ts[i] = rec.ts_ns;
-        if let Some(next) = self.streams[i].next_record() {
-            self.heap.push(Reverse((next.ts_ns, next.pid.raw(), i)));
-            self.heads[i] = Some(next);
+        match self.streams[i].next_record() {
+            Some(next) => {
+                top.0 = (next.ts_ns, next.pid.raw(), i);
+                self.heads[i] = Some(next);
+            }
+            None => {
+                PeekMut::pop(top);
+            }
         }
         self.remaining -= 1;
         Some(rec)

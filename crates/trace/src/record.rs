@@ -93,30 +93,6 @@ impl Trace {
         pids
     }
 
-    /// Splits the trace into per-process record streams, one per pid in
-    /// [`Trace::process_ids`] order. Each stream preserves the trace's
-    /// record order (and therefore timestamp order), so a discrete-event
-    /// driver can re-interleave the streams by arrival time while keeping
-    /// every process's program order intact.
-    pub fn per_process_streams(&self) -> Vec<(ProcessId, Vec<TraceRecord>)> {
-        let pids = self.process_ids();
-        let mut streams: Vec<(ProcessId, Vec<TraceRecord>)> =
-            pids.into_iter().map(|pid| (pid, Vec::new())).collect();
-        for r in &self.records {
-            let slot = streams
-                .iter_mut()
-                .find(|(pid, _)| *pid == r.pid)
-                .expect("process_ids covers every record");
-            slot.1.push(*r);
-        }
-        streams
-    }
-
-    /// Total bytes transferred.
-    pub fn total_bytes(&self) -> u64 {
-        self.records.iter().map(|r| r.nbytes).sum()
-    }
-
     /// Average transfer size in pages.
     pub fn mean_pages_per_request(&self) -> f64 {
         if self.records.is_empty() {
@@ -197,7 +173,6 @@ mod tests {
         assert_eq!(t.footprint_pages(), 3, "(1,5), (2,5), (1,6)");
         assert_eq!(t.process_ids().len(), 2);
         assert_eq!(t.mean_pages_per_request(), 1.0);
-        assert_eq!(t.total_bytes(), 4 * PAGE_SIZE);
     }
 
     #[test]
@@ -214,22 +189,6 @@ mod tests {
             .map(ProcessId::new)
             .collect();
         assert_eq!(t.process_ids(), want);
-    }
-
-    #[test]
-    fn per_process_streams_partition_and_preserve_order() {
-        let t = Trace::new(
-            "test",
-            7,
-            vec![rec(0, 2, 5), rec(10, 1, 5), rec(10, 2, 6), rec(30, 1, 6)],
-        );
-        let streams = t.per_process_streams();
-        assert_eq!(streams.len(), 2);
-        assert_eq!(streams[0].0, ProcessId::new(1), "pid order, not first-seen");
-        assert_eq!(streams[0].1, vec![rec(10, 1, 5), rec(30, 1, 6)]);
-        assert_eq!(streams[1].1, vec![rec(0, 2, 5), rec(10, 2, 6)]);
-        let total: usize = streams.iter().map(|(_, s)| s.len()).sum();
-        assert_eq!(total, t.records.len(), "partition loses nothing");
     }
 
     #[test]
@@ -254,7 +213,6 @@ mod tests {
         let t = Trace::new("zero", 0, vec![r]);
         assert_eq!(t.total_lookups(), 0);
         assert_eq!(t.footprint_pages(), 0);
-        assert_eq!(t.total_bytes(), 0);
     }
 
     /// A transfer straddling interior page boundaries costs one lookup per

@@ -46,27 +46,24 @@ impl GenConfig {
     }
 }
 
-/// Builds one process' record stream.
+/// The record-emitting state of one process: its identity, seeded RNG and
+/// jittered clock. [`PatternBuilder`] and [`ProcessStream`] both emit
+/// through one, so eager and streamed generation draw identically.
 #[derive(Debug)]
-pub struct PatternBuilder {
+struct Emitter {
     pid: ProcessId,
     base_page: u64,
     rng: StdRng,
-    records: Vec<TraceRecord>,
     next_ts: u64,
     ts_step: u64,
 }
 
-impl PatternBuilder {
-    /// Creates a builder for `pid` whose partition starts at absolute
-    /// virtual page `base_page`. `ts_step` is the mean inter-request gap in
-    /// nanoseconds; a ±25% jitter decorrelates the process streams.
-    pub fn new(pid: ProcessId, base_page: u64, seed: u64, ts_step: u64) -> Self {
-        PatternBuilder {
+impl Emitter {
+    fn new(pid: ProcessId, base_page: u64, seed: u64, ts_step: u64) -> Self {
+        Emitter {
             pid,
             base_page,
             rng: StdRng::seed_from_u64(seed ^ (pid.raw() as u64) << 32),
-            records: Vec::new(),
             next_ts: 0,
             ts_step: ts_step.max(1),
         }
@@ -84,6 +81,44 @@ impl PatternBuilder {
         ts
     }
 
+    /// A one-page send of partition-relative page `rel`.
+    fn page(&mut self, rel: u64) -> TraceRecord {
+        let ts = self.advance_ts();
+        send_page(ts, self.pid, self.base_page + rel)
+    }
+
+    /// A small (sub-page) control message on partition-relative page `rel`.
+    fn small(&mut self, rel: u64, nbytes: u64) -> TraceRecord {
+        debug_assert!(nbytes < utlb_mem::PAGE_SIZE);
+        let ts = self.advance_ts();
+        TraceRecord {
+            ts_ns: ts,
+            pid: self.pid,
+            op: crate::Op::Send,
+            va: VirtAddr::new((self.base_page + rel) * utlb_mem::PAGE_SIZE),
+            nbytes,
+        }
+    }
+}
+
+/// Builds one process' record stream.
+#[derive(Debug)]
+pub struct PatternBuilder {
+    emit: Emitter,
+    records: Vec<TraceRecord>,
+}
+
+impl PatternBuilder {
+    /// Creates a builder for `pid` whose partition starts at absolute
+    /// virtual page `base_page`. `ts_step` is the mean inter-request gap in
+    /// nanoseconds; a ±25% jitter decorrelates the process streams.
+    pub fn new(pid: ProcessId, base_page: u64, seed: u64, ts_step: u64) -> Self {
+        PatternBuilder {
+            emit: Emitter::new(pid, base_page, seed, ts_step),
+            records: Vec::new(),
+        }
+    }
+
     /// Number of records emitted so far.
     pub fn len(&self) -> usize {
         self.records.len()
@@ -96,23 +131,15 @@ impl PatternBuilder {
 
     /// Emits a one-page send of partition-relative page `rel`.
     pub fn page(&mut self, rel: u64) {
-        let ts = self.advance_ts();
-        self.records
-            .push(send_page(ts, self.pid, self.base_page + rel));
+        let rec = self.emit.page(rel);
+        self.records.push(rec);
     }
 
     /// Emits a small (sub-page) control message on partition-relative page
     /// `rel` — lock/barrier traffic in the SVM protocol.
     pub fn small(&mut self, rel: u64, nbytes: u64) {
-        debug_assert!(nbytes < utlb_mem::PAGE_SIZE);
-        let ts = self.advance_ts();
-        self.records.push(TraceRecord {
-            ts_ns: ts,
-            pid: self.pid,
-            op: crate::Op::Send,
-            va: VirtAddr::new((self.base_page + rel) * utlb_mem::PAGE_SIZE),
-            nbytes,
-        });
+        let rec = self.emit.small(rel, nbytes);
+        self.records.push(rec);
     }
 
     /// One sequential pass over `[start, start + count)`.
@@ -147,10 +174,10 @@ impl PatternBuilder {
         let mut pos = 0i64;
         let max = span.saturating_sub(1) as i64;
         for _ in 0..count {
-            if self.rng.gen_bool(locality.clamp(0.0, 1.0)) {
-                pos = (pos + self.rng.gen_range(-step..=step)).clamp(0, max);
+            if self.emit.rng.gen_bool(locality.clamp(0.0, 1.0)) {
+                pos = (pos + self.emit.rng.gen_range(-step..=step)).clamp(0, max);
             } else {
-                pos = self.rng.gen_range(0..span) as i64;
+                pos = self.emit.rng.gen_range(0..span) as i64;
             }
             self.page(pos as u64);
         }
@@ -160,7 +187,7 @@ impl PatternBuilder {
     /// all-to-all permutation phase of Radix.
     pub fn scatter(&mut self, span: u64, count: u64) {
         for _ in 0..count {
-            let p = self.rng.gen_range(0..span);
+            let p = self.emit.rng.gen_range(0..span);
             self.page(p);
         }
     }
@@ -172,7 +199,7 @@ impl PatternBuilder {
         let tile = tile.max(1).min(span);
         let mut done = 0u64;
         while done < count {
-            let start = self.rng.gen_range(0..=span - tile);
+            let start = self.emit.rng.gen_range(0..=span - tile);
             let n = tile.min(count - done);
             for i in 0..n {
                 self.page(start + i);
@@ -337,11 +364,7 @@ impl OpCursor {
 /// the stream holds O(one pass) memory however large its lookup budget is.
 #[derive(Debug)]
 pub struct ProcessStream {
-    pid: ProcessId,
-    base_page: u64,
-    rng: StdRng,
-    next_ts: u64,
-    ts_step: u64,
+    emit: Emitter,
     /// Rotation phase of this stream among its peers (see `emit_rotated`).
     phase: u32,
     peers: u32,
@@ -373,11 +396,7 @@ impl ProcessStream {
     ) -> Self {
         let remaining = ops.iter().map(PatternOp::count).sum();
         ProcessStream {
-            pid,
-            base_page,
-            rng: StdRng::seed_from_u64(seed ^ (pid.raw() as u64) << 32),
-            next_ts: 0,
-            ts_step: ts_step.max(1),
+            emit: Emitter::new(pid, base_page, seed, ts_step),
             phase,
             peers,
             ops: ops.into(),
@@ -388,46 +407,14 @@ impl ProcessStream {
         }
     }
 
-    /// Identical to `PatternBuilder::advance_ts`.
-    fn advance_ts(&mut self) -> u64 {
-        let jitter = self.ts_step / 4;
-        let dt = if jitter > 0 {
-            self.ts_step - jitter + self.rng.gen_range(0..=2 * jitter)
-        } else {
-            self.ts_step
-        };
-        let ts = self.next_ts;
-        self.next_ts += dt;
-        ts
-    }
-
-    fn emit_page(&mut self, rel: u64) -> TraceRecord {
-        let ts = self.advance_ts();
-        send_page(ts, self.pid, self.base_page + rel)
-    }
-
-    fn emit_small(&mut self, rel: u64, nbytes: u64) -> TraceRecord {
-        debug_assert!(nbytes < utlb_mem::PAGE_SIZE);
-        let ts = self.advance_ts();
-        TraceRecord {
-            ts_ns: ts,
-            pid: self.pid,
-            op: crate::Op::Send,
-            va: VirtAddr::new((self.base_page + rel) * utlb_mem::PAGE_SIZE),
-            nbytes,
-        }
-    }
-
     /// Emits one record of the front op, or `None` if the op is exhausted.
     fn step_front(&mut self) -> Option<TraceRecord> {
-        // The op is taken by value and restored so the RNG (`&mut self`)
-        // stays usable inside the match; ops are small (one Vec at most).
-        let op = self.ops.front().cloned()?;
-        let mut cur = match self.cur.take() {
-            Some(c) => c,
-            None => OpCursor::for_op(&op),
-        };
-        let rec = match (&op, &mut cur) {
+        // The op program, the cursor and the emitter are disjoint fields, so
+        // the front op is borrowed in place while the RNG is drawn from.
+        let op = self.ops.front()?;
+        let cur = self.cur.get_or_insert_with(|| OpCursor::for_op(op));
+        let emit = &mut self.emit;
+        match (op, cur) {
             (PatternOp::Rotated { seq, total }, OpCursor::Rotated { k }) => {
                 if *k >= *total || seq.is_empty() {
                     None
@@ -436,7 +423,7 @@ impl ProcessStream {
                     let idx = (rot + *k) % *total;
                     let page = seq[(idx % seq.len() as u64) as usize];
                     *k += 1;
-                    Some(self.emit_page(page))
+                    Some(emit.page(page))
                 }
             }
             (PatternOp::Sequential { start, count }, OpCursor::Sequential { i }) => {
@@ -445,7 +432,7 @@ impl ProcessStream {
                 } else {
                     let page = *start + *i;
                     *i += 1;
-                    Some(self.emit_page(page))
+                    Some(emit.page(page))
                 }
             }
             (PatternOp::Scatter { span, count }, OpCursor::Scatter { i }) => {
@@ -453,8 +440,8 @@ impl ProcessStream {
                     None
                 } else {
                     *i += 1;
-                    let p = self.rng.gen_range(0..*span);
-                    Some(self.emit_page(p))
+                    let p = emit.rng.gen_range(0..*span);
+                    Some(emit.page(p))
                 }
             }
             (
@@ -472,12 +459,12 @@ impl ProcessStream {
                     *i += 1;
                     let step = (*step).max(1) as i64;
                     let max = span.saturating_sub(1) as i64;
-                    if self.rng.gen_bool(locality.clamp(0.0, 1.0)) {
-                        *pos = (*pos + self.rng.gen_range(-step..=step)).clamp(0, max);
+                    if emit.rng.gen_bool(locality.clamp(0.0, 1.0)) {
+                        *pos = (*pos + emit.rng.gen_range(-step..=step)).clamp(0, max);
                     } else {
-                        *pos = self.rng.gen_range(0..*span) as i64;
+                        *pos = emit.rng.gen_range(0..*span) as i64;
                     }
-                    Some(self.emit_page(*pos as u64))
+                    Some(emit.page(*pos as u64))
                 }
             }
             (
@@ -506,18 +493,18 @@ impl ProcessStream {
                     if *tiles_left > 0 {
                         let tile_c = (*tile).max(1).min(*span);
                         if *tile_rem == 0 {
-                            *tile_page = self.rng.gen_range(0..=*span - tile_c);
+                            *tile_page = emit.rng.gen_range(0..=*span - tile_c);
                             *tile_rem = tile_c.min(*tiles_left);
                         }
                         let page = *tile_page;
                         *tile_page += 1;
                         *tile_rem -= 1;
                         *tiles_left -= 1;
-                        Some(self.emit_page(page))
+                        Some(emit.page(page))
                     } else {
                         *left -= *burst;
                         *burst = 0;
-                        Some(self.emit_small(0, *nbytes))
+                        Some(emit.small(0, *nbytes))
                     }
                 }
             }
@@ -539,18 +526,14 @@ impl ProcessStream {
                     let kk = *k;
                     *k += 1;
                     if kk % *every == 0 {
-                        Some(self.emit_small(kk % *hot, *nbytes))
+                        Some(emit.small(kk % *hot, *nbytes))
                     } else {
-                        Some(self.emit_page((kk * *stride) % *span))
+                        Some(emit.page((kk * *stride) % *span))
                     }
                 }
             }
             _ => unreachable!("cursor always matches the front op"),
-        };
-        if rec.is_some() {
-            self.cur = Some(cur);
         }
-        rec
     }
 }
 
@@ -583,7 +566,7 @@ impl TraceStream for ProcessStream {
     }
 
     fn process_ids(&self) -> Vec<ProcessId> {
-        vec![self.pid]
+        vec![self.emit.pid]
     }
 }
 

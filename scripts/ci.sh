@@ -113,6 +113,11 @@ filtered_test -p utlb-trace merge::
 filtered_test -p utlb-trace stream::
 filtered_test -p utlb-trace synth::
 
+echo "== 3C classifier and frontend trace order"
+filtered_test -p utlb-sim classify::
+cargo test -q --offline -p utlb-sim --test properties
+filtered_test -p utlb-sim frontend_trace_matches_heap_merge
+
 echo "== streaming: bounded-memory scale run (small epoch count)"
 run_all stream_scale --cap 40 > /dev/null
 
