@@ -29,20 +29,24 @@ fn bench_pin_unpin(c: &mut Criterion) {
             let mut host = Host::new(1 << 14);
             let pid = host.spawn_process();
             let mut next = 0u64;
+            let mut pinned = Vec::new();
             b.iter(|| {
                 // Wrap within a 4096-page window: after the first cycle the
                 // pages are already mapped, so iterations measure the pin
                 // bookkeeping (refcounts) without unbounded frame growth.
                 let start = VirtPage::new(next % 4096);
                 next += pages;
-                black_box(host.driver_pin(pid, start, pages).unwrap());
+                host.driver_pin(pid, start, pages, &mut pinned).unwrap();
+                black_box(&pinned);
             })
         });
         group.bench_with_input(BenchmarkId::new("pin_unpin", pages), &pages, |b, &pages| {
             let mut host = Host::new(1 << 12);
             let pid = host.spawn_process();
+            let mut pinned = Vec::new();
             b.iter(|| {
-                host.driver_pin(pid, VirtPage::new(0), pages).unwrap();
+                host.driver_pin(pid, VirtPage::new(0), pages, &mut pinned)
+                    .unwrap();
                 for p in VirtPage::new(0).range(pages) {
                     host.driver_unpin(pid, p).unwrap();
                 }
@@ -93,8 +97,10 @@ fn bench_pinned_set(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("evict_insert", policy), |b| {
             let mut set = full_set(policy);
             let mut next = LIMIT_PAGES;
+            let mut victims = Vec::new();
             b.iter(|| {
-                let victim = set.select_victims(1)[0];
+                set.select_victims(1, &mut victims);
+                let victim = victims[0];
                 set.remove(victim);
                 set.insert(VirtPage::new(next));
                 next += 1;

@@ -9,11 +9,12 @@
 //! [`OutcomeBuf`] is the caller-owned buffer the batched
 //! [`lookup_run_into`](crate::TranslationMechanism::lookup_run_into) path
 //! emits into — the runner clears and reuses one buffer across the whole
-//! trace. That makes the hit path allocate nothing per record. The miss
-//! path still allocates — ≈0.49 allocations per steady-state lookup for
-//! UTLB, Indexed and Intr on a 256-entry cache under a 4 MB pin limit —
-//! because `DmaEngine::fetch_words_timed` and
-//! `HostDriver::pin_and_translate` each return a fresh `Vec`.
+//! trace. That makes the hit path allocate nothing per record, and the miss
+//! path allocates nothing either once the engine's own buffers (pinned
+//! translations, DMA words, victims, buffered probe events) have grown:
+//! `crates/sim/tests/alloc_budget.rs` holds every mechanism to zero
+//! allocations per extra epoch of a looped trace, on hits and on a
+//! 256-entry cache under a 4 MB pin limit, serial and contended.
 //!
 //! All four engines run one lookup protocol and differ only in where a
 //! translation lives, so both page-run walks are written once here, generic

@@ -34,11 +34,17 @@ impl CheckOutcome {
     }
 }
 
+/// One chunk of the sparse bitmap.
+type Chunk = Box<[u64; CHUNK_WORDS]>;
+
 /// Sparse bit vector recording which virtual pages are pinned.
 #[derive(Debug, Default)]
 pub struct PinBitVector {
-    chunks: HashMap<u64, Box<[u64; CHUNK_WORDS]>>,
+    chunks: HashMap<u64, Chunk>,
     set_bits: u64,
+    /// Zeroed chunks from [`clear_all`](Self::clear_all), reused before a
+    /// new one is allocated. Never more than the most chunks held at once.
+    spare: Vec<Chunk>,
 }
 
 impl PinBitVector {
@@ -70,10 +76,11 @@ impl PinBitVector {
     /// Marks `page` pinned. Returns `true` if the bit was newly set.
     pub fn set(&mut self, page: VirtPage) -> bool {
         let (chunk, word, bit) = Self::locate(page);
+        let spare = &mut self.spare;
         let c = self
             .chunks
             .entry(chunk)
-            .or_insert_with(|| Box::new([0u64; CHUNK_WORDS]));
+            .or_insert_with(|| spare.pop().unwrap_or_else(|| Box::new([0u64; CHUNK_WORDS])));
         let mask = 1u64 << bit;
         if c[word] & mask == 0 {
             c[word] |= mask;
@@ -96,6 +103,16 @@ impl PinBitVector {
             }
         }
         false
+    }
+
+    /// Marks every page unpinned, keeping the zeroed chunks for reuse: a
+    /// cleared vector reads exactly like a new one.
+    pub fn clear_all(&mut self) {
+        for (_, mut chunk) in self.chunks.drain() {
+            chunk.fill(0);
+            self.spare.push(chunk);
+        }
+        self.set_bits = 0;
     }
 
     /// Checks whether all of `start .. start+count` are pinned.
@@ -293,6 +310,23 @@ mod tests {
         assert!(v.clear(page(5)));
         assert!(!v.clear(page(5)));
         assert_eq!(v.count(), 0);
+    }
+
+    #[test]
+    fn a_cleared_vector_has_no_stale_bits() {
+        let mut v = PinBitVector::new();
+        v.set(page(5));
+        v.set(page(5 + CHUNK_PAGES));
+        v.clear_all();
+        assert_eq!(v.count(), 0);
+        assert!(!v.is_set(page(5)));
+        v.set(page(9 + 3 * CHUNK_PAGES));
+        assert!(
+            !v.is_set(page(5 + 3 * CHUNK_PAGES)),
+            "reused chunk is zeroed"
+        );
+        assert_eq!(v.pinned_prefix(page(3 * CHUNK_PAGES), CHUNK_PAGES), 0);
+        assert_eq!(v.count(), 1);
     }
 
     #[test]

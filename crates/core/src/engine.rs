@@ -119,6 +119,17 @@ struct ProcState {
     bitvec: PinBitVector,
     hier: HierTable,
     core: PinCore,
+    /// The victims [`make_room`](Self::make_room) selects.
+    victims: Vec<VirtPage>,
+}
+
+/// What an unregistered process leaves for the next registration: all of
+/// [`ProcState`] but the SRAM directory, a lifetime allocation.
+#[derive(Debug)]
+struct SpareState {
+    bitvec: PinBitVector,
+    core: PinCore,
+    victims: Vec<VirtPage>,
 }
 
 impl ProcState {
@@ -152,7 +163,8 @@ impl ProcState {
             return Ok(run);
         }
         let deficit = pinned + run - limit;
-        let victims = self.core.pinned.select_victims(deficit as usize);
+        let victims = &mut self.victims;
+        self.core.pinned.select_victims(deficit as usize, victims);
         if victims.is_empty() && pinned >= limit {
             // Cannot pin even the demanded page.
             return Err(UtlbError::NoEvictableVictim(pid));
@@ -163,7 +175,7 @@ impl ProcState {
             let shortfall = deficit - victims.len() as u64;
             run = run.saturating_sub(shortfall).max(1);
         }
-        for victim in victims {
+        for &victim in victims.iter() {
             self.core.unpin(
                 host,
                 board,
@@ -189,6 +201,12 @@ pub struct UtlbEngine {
     cache: SharedUtlbCache,
     procs: IntMap<ProcessId, ProcState>,
     probe: ProbeSlot,
+    /// Cleared states of unregistered processes, reused by the next
+    /// registrations. Never longer than the peak count of registered
+    /// processes.
+    spare: Vec<SpareState>,
+    /// The entries of the NIC miss in flight, as its DMA fetched them.
+    words: Vec<u64>,
 }
 
 impl UtlbEngine {
@@ -218,6 +236,8 @@ impl UtlbEngine {
             cache,
             procs: IntMap::default(),
             probe: ProbeSlot::detached(),
+            spare: Vec::new(),
+            words: Vec::new(),
         })
     }
 
@@ -313,6 +333,7 @@ impl UtlbEngine {
             cache,
             procs,
             probe,
+            ..
         } = self;
         let cost = &cfg.cost;
         let t0 = board.clock.now();
@@ -353,7 +374,7 @@ impl UtlbEngine {
                 cache,
                 &mut sink,
             )?;
-            let pinned = state.core.pin(
+            let phys = state.core.pin(
                 host,
                 board,
                 pid,
@@ -361,13 +382,11 @@ impl UtlbEngine {
                 1,
                 cost.kernel_pin_cost(1),
                 &mut sink,
-            )?;
-            state.hier.install(
-                page,
-                pinned[0].phys_addr(),
-                host.physical_mut(),
-                &mut board.sram,
-            )?;
+            )?[0]
+                .phys_addr();
+            state
+                .hier
+                .install(page, phys, host.physical_mut(), &mut board.sram)?;
             state.bitvec.set(page);
         }
         state.core.stats.ni_misses += 1;
@@ -377,7 +396,8 @@ impl UtlbEngine {
             .entry_addr(page, &board.sram)?
             .expect("installed above or already present");
         let Board { dma, clock, .. } = board;
-        let (words, dma_cost) = dma.fetch_words_timed(clock, host.physical(), entry_addr, 1)?;
+        let mut entry = [0u64; 1];
+        let dma_cost = dma.fetch_words(clock, host.physical(), entry_addr, &mut entry)?;
         state.core.stats.entries_fetched += 1;
         probe.emit(
             pid,
@@ -386,7 +406,7 @@ impl UtlbEngine {
                 ns: dma_cost.as_nanos(),
             },
         );
-        let phys = PhysAddr::new(words[0]);
+        let phys = PhysAddr::new(entry[0]);
         if cache.insert(pid, page, phys).is_some() {
             probe.emit(
                 pid,
@@ -415,6 +435,7 @@ impl UtlbEngine {
             cache,
             procs,
             probe,
+            ..
         } = self;
         let cost = &cfg.cost;
         let state = procs.get_mut(&pid).expect("checked by caller");
@@ -442,7 +463,7 @@ impl UtlbEngine {
         let pinned = state
             .core
             .pin(host, board, pid, page, run, cost.pin_cost(run), &mut sink)?;
-        for p in &pinned {
+        for p in pinned {
             state.hier.install(
                 p.page(),
                 p.phys_addr(),
@@ -470,6 +491,8 @@ impl UtlbEngine {
             cache,
             procs,
             probe,
+            words,
+            ..
         } = self;
         let cost = &cfg.cost;
         charge_us(board, cost.directory_ref_us);
@@ -504,7 +527,8 @@ impl UtlbEngine {
         let leaf_remaining = crate::hier::LEAF_ENTRIES - page.number() % crate::hier::LEAF_ENTRIES;
         let fetch = cfg.prefetch.min(leaf_remaining);
         let Board { dma, clock, .. } = board;
-        let (words, dma_cost) = dma.fetch_words_timed(clock, host.physical(), entry_addr, fetch)?;
+        words.resize(fetch as usize, 0);
+        let dma_cost = dma.fetch_words(clock, host.physical(), entry_addr, words)?;
         state.core.stats.entries_fetched += fetch;
         probe.emit(
             pid,
@@ -519,7 +543,7 @@ impl UtlbEngine {
         if words[0] == garbage {
             return Err(UtlbError::ProtocolViolation { pid, page });
         }
-        for (i, w) in words.into_iter().enumerate() {
+        for (i, &w) in words.iter().enumerate() {
             if w != garbage
                 && cache
                     .insert(pid, page.offset(i as u64), PhysAddr::new(w))
@@ -657,14 +681,28 @@ impl TranslationMechanism for UtlbEngine {
             .pins_mut()
             .set_limit(pid, self.cfg.mem_limit_pages);
         board.cmdq.register(pid);
-        self.procs.insert(
-            pid,
-            ProcState {
+        let state = match self.spare.pop() {
+            Some(SpareState {
+                bitvec,
+                mut core,
+                victims,
+            }) => {
+                core.reset(self.cfg.seed, pid);
+                ProcState {
+                    bitvec,
+                    hier,
+                    core,
+                    victims,
+                }
+            }
+            None => ProcState {
                 bitvec: PinBitVector::new(),
                 hier,
                 core: PinCore::new(self.cfg.policy, self.cfg.seed, pid),
+                victims: Vec::new(),
             },
-        );
+        };
+        self.procs.insert(pid, state);
         Ok(())
     }
 
@@ -676,12 +714,23 @@ impl TranslationMechanism for UtlbEngine {
         _board: &mut Board,
         pid: ProcessId,
     ) -> Result<()> {
-        let mut state = self
+        let ProcState {
+            mut bitvec,
+            mut hier,
+            core,
+            victims,
+        } = self
             .procs
             .remove(&pid)
             .ok_or(UtlbError::UnregisteredProcess(pid))?;
         self.cache.invalidate_process(pid);
-        state.hier.release(host.physical_mut());
+        hier.release(host.physical_mut());
+        bitvec.clear_all();
+        self.spare.push(SpareState {
+            bitvec,
+            core,
+            victims,
+        });
         host.driver_mut().pins_mut().release_process(pid);
         Ok(())
     }

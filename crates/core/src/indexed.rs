@@ -71,6 +71,12 @@ pub struct IndexedEngine {
     cache: SharedUtlbCache,
     procs: IntMap<ProcessId, ProcState>,
     probe: ProbeSlot,
+    /// Cleared states of unregistered processes, reused by the next
+    /// registrations. Never longer than the peak count of registered
+    /// processes.
+    spare: Vec<ProcState>,
+    /// Events of the lookup in flight, buffered across its miss path.
+    events: Vec<Event>,
 }
 
 const ENTRIES_PER_FRAME: usize = (PAGE_SIZE / 8) as usize;
@@ -84,6 +90,8 @@ impl IndexedEngine {
             cache,
             procs: IntMap::default(),
             probe: ProbeSlot::detached(),
+            spare: Vec::new(),
+            events: Vec::new(),
         }
     }
 
@@ -162,11 +170,13 @@ impl HitPath for IndexedEngine {
             cache,
             procs,
             probe,
+            events,
+            ..
         } = self;
         let cost = &cfg.cost;
         let t0 = board.clock.now();
         let probe_on = probe.is_attached();
-        let mut events: Vec<Event> = Vec::new();
+        events.clear();
         let mut sink = |ev: Event| {
             if probe_on {
                 events.push(ev);
@@ -183,45 +193,42 @@ impl HitPath for IndexedEngine {
                 state.core.stats.check_misses += 1;
                 sink(Event::CheckMiss);
                 // Claim a slot, evicting under capacity pressure.
-                let slot =
-                    loop {
-                        if let Some(s) = state.free.pop() {
-                            break UtlbIndex(s);
-                        }
-                        let victim = state.core.pinned.select_victims(1).pop().ok_or(
-                            UtlbError::TableFull {
-                                pid,
-                                capacity: cfg.table_entries,
-                            },
-                        )?;
-                        let victim_ix = state
-                            .tree
-                            .invalidate(victim)
-                            .expect("pinned pages are indexed");
-                        let addr = Self::entry_addr(state, victim_ix);
-                        let garbage = host.driver().garbage_addr().raw();
-                        host.physical_mut().write_u64(addr, garbage)?;
-                        cache.invalidate(pid, VirtPage::new(victim_ix.0 as u64));
-                        state.core.unpin(
-                            host,
-                            board,
-                            pid,
-                            victim,
-                            cost.unpin_cost(1),
-                            EvictReason::TableFull,
-                            &mut sink,
-                        )?;
-                        state.slot_owner.remove(&victim_ix.0);
-                        state.free.push(victim_ix.0);
-                    };
+                let slot = loop {
+                    if let Some(s) = state.free.pop() {
+                        break UtlbIndex(s);
+                    }
+                    let victim = state.core.select_victim().ok_or(UtlbError::TableFull {
+                        pid,
+                        capacity: cfg.table_entries,
+                    })?;
+                    let victim_ix = state
+                        .tree
+                        .invalidate(victim)
+                        .expect("pinned pages are indexed");
+                    let addr = Self::entry_addr(state, victim_ix);
+                    let garbage = host.driver().garbage_addr().raw();
+                    host.physical_mut().write_u64(addr, garbage)?;
+                    cache.invalidate(pid, VirtPage::new(victim_ix.0 as u64));
+                    state.core.unpin(
+                        host,
+                        board,
+                        pid,
+                        victim,
+                        cost.unpin_cost(1),
+                        EvictReason::TableFull,
+                        &mut sink,
+                    )?;
+                    state.slot_owner.remove(&victim_ix.0);
+                    state.free.push(victim_ix.0);
+                };
                 // Pin and install at the chosen slot.
-                let pinned =
+                let phys =
                     state
                         .core
-                        .pin(host, board, pid, page, 1, cost.pin_cost(1), &mut sink)?;
+                        .pin(host, board, pid, page, 1, cost.pin_cost(1), &mut sink)?[0]
+                        .phys_addr();
                 let addr = Self::entry_addr(state, slot);
-                host.physical_mut()
-                    .write_u64(addr, pinned[0].phys_addr().raw())?;
+                host.physical_mut().write_u64(addr, phys.raw())?;
                 state.tree.install(page, slot);
                 state.slot_owner.insert(slot.0, page);
                 (slot, true)
@@ -241,8 +248,9 @@ impl HitPath for IndexedEngine {
                 state.core.stats.entries_fetched += 1;
                 let addr = Self::entry_addr(state, index);
                 let Board { dma, clock, .. } = board;
-                let (words, dma_cost) = dma.fetch_words_timed(clock, host.physical(), addr, 1)?;
-                let phys = PhysAddr::new(words[0]);
+                let mut entry = [0u64; 1];
+                let dma_cost = dma.fetch_words(clock, host.physical(), addr, &mut entry)?;
+                let phys = PhysAddr::new(entry[0]);
                 if cache.insert(pid, key, phys).is_some() {
                     sink(Event::Evict {
                         reason: EvictReason::CacheConflict,
@@ -257,7 +265,7 @@ impl HitPath for IndexedEngine {
             }
         };
         if probe_on {
-            for ev in events {
+            for ev in events.drain(..) {
                 probe.emit(pid, ev);
             }
             let ns = (board.clock.now() - t0).as_nanos();
@@ -331,22 +339,26 @@ impl TranslationMechanism for IndexedEngine {
         }
         let frames_needed = self.cfg.table_entries.div_ceil(ENTRIES_PER_FRAME);
         let garbage = host.driver().garbage_addr();
-        let mut table_frames = Vec::with_capacity(frames_needed);
+        let mut state = match self.spare.pop() {
+            Some(mut state) => {
+                state.core.reset(self.cfg.seed, pid);
+                state
+            }
+            None => ProcState {
+                table_frames: Vec::with_capacity(frames_needed),
+                tree: UserLookupTree::new(),
+                slot_owner: IntMap::default(),
+                free: Vec::with_capacity(self.cfg.table_entries),
+                core: PinCore::new(self.cfg.policy, self.cfg.seed, pid),
+            },
+        };
         for _ in 0..frames_needed {
             let f = host.physical_mut().alloc_frame()?;
             host.physical_mut().fill_u64(f, garbage.raw())?;
-            table_frames.push(f);
+            state.table_frames.push(f);
         }
-        self.procs.insert(
-            pid,
-            ProcState {
-                table_frames,
-                tree: UserLookupTree::new(),
-                slot_owner: IntMap::default(),
-                free: (0..self.cfg.table_entries as u32).rev().collect(),
-                core: PinCore::new(self.cfg.policy, self.cfg.seed, pid),
-            },
-        );
+        state.free.extend((0..self.cfg.table_entries as u32).rev());
+        self.procs.insert(pid, state);
         Ok(())
     }
 
@@ -358,14 +370,18 @@ impl TranslationMechanism for IndexedEngine {
         _board: &mut Board,
         pid: ProcessId,
     ) -> Result<()> {
-        let state = self
+        let mut state = self
             .procs
             .remove(&pid)
             .ok_or(UtlbError::UnregisteredProcess(pid))?;
         self.cache.invalidate_process(pid);
-        for f in state.table_frames {
+        for f in state.table_frames.drain(..) {
             host.physical_mut().free_frame(f);
         }
+        state.tree.clear();
+        state.slot_owner.clear();
+        state.free.clear();
+        self.spare.push(state);
         host.driver_mut().pins_mut().release_process(pid);
         Ok(())
     }

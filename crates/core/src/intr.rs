@@ -57,6 +57,9 @@ pub struct IntrEngine {
     cache: SharedUtlbCache,
     procs: IntMap<ProcessId, PinCore>,
     probe: ProbeSlot,
+    /// Cores of unregistered processes, reused by the next registrations.
+    /// Never longer than the peak count of registered processes.
+    spare: Vec<PinCore>,
 }
 
 impl IntrEngine {
@@ -68,6 +71,7 @@ impl IntrEngine {
             cache,
             procs: IntMap::default(),
             probe: ProbeSlot::detached(),
+            spare: Vec::new(),
         }
     }
 
@@ -104,6 +108,7 @@ impl HitPath for IntrEngine {
             cache,
             procs,
             probe,
+            ..
         } = self;
         let cost = &cfg.cost;
         let t0 = board.clock.now();
@@ -142,9 +147,7 @@ impl HitPath for IntrEngine {
         if let Some(limit) = cfg.mem_limit_pages {
             if core.pinned.len() as u64 >= limit {
                 let victim = core
-                    .pinned
-                    .select_victims(1)
-                    .pop()
+                    .select_victim()
                     .ok_or(UtlbError::NoEvictableVictim(pid))?;
                 let unpin_us = cost.kernel_unpin_cost(1);
                 board.intr.account_handler(Nanos::from_micros(unpin_us));
@@ -163,10 +166,10 @@ impl HitPath for IntrEngine {
 
         let pin_us = cost.kernel_pin_cost(1);
         board.intr.account_handler(Nanos::from_micros(pin_us));
-        let pinned = core.pin(host, board, pid, page, 1, pin_us, &mut |ev| {
+        let phys = core.pin(host, board, pid, page, 1, pin_us, &mut |ev| {
             probe.emit(pid, ev)
-        })?;
-        let phys = pinned[0].phys_addr();
+        })?[0]
+            .phys_addr();
 
         // Install in the cache; the page evicted to make room is unpinned —
         // the defining behaviour of the interrupt-based approach.
@@ -254,8 +257,14 @@ impl TranslationMechanism for IntrEngine {
             .set_limit(pid, self.cfg.mem_limit_pages);
         // LRU over cached translations, matching the cache's own within-set
         // LRU as closely as a global policy can.
-        self.procs
-            .insert(pid, PinCore::new(Policy::Lru, self.cfg.seed, pid));
+        let core = match self.spare.pop() {
+            Some(mut core) => {
+                core.reset(self.cfg.seed, pid);
+                core
+            }
+            None => PinCore::new(Policy::Lru, self.cfg.seed, pid),
+        };
+        self.procs.insert(pid, core);
         Ok(())
     }
 
@@ -267,9 +276,11 @@ impl TranslationMechanism for IntrEngine {
         _board: &mut Board,
         pid: ProcessId,
     ) -> Result<()> {
-        self.procs
+        let core = self
+            .procs
             .remove(&pid)
             .ok_or(UtlbError::UnregisteredProcess(pid))?;
+        self.spare.push(core);
         self.cache.invalidate_process(pid);
         host.driver_mut().pins_mut().release_process(pid);
         Ok(())

@@ -16,11 +16,17 @@ pub struct UtlbIndex(pub u32);
 /// classic x86-style two-level layout).
 const LEAF_ENTRIES: u64 = 1024;
 
+/// A second-level table: `LEAF_ENTRIES` slots.
+type Leaf = Box<[Option<UtlbIndex>]>;
+
 /// The two-level user-level lookup tree: virtual page → UTLB table index.
 #[derive(Debug, Default)]
 pub struct UserLookupTree {
-    directory: IntMap<u64, Box<[Option<UtlbIndex>]>>,
+    directory: IntMap<u64, Leaf>,
     entries: u64,
+    /// Emptied leaves from [`clear`](Self::clear), reused before a new one
+    /// is allocated. Never more than the most leaves the tree held at once.
+    spare: Vec<Leaf>,
 }
 
 impl UserLookupTree {
@@ -54,10 +60,12 @@ impl UserLookupTree {
     /// Installs the mapping `page → index`, returning any previous index.
     pub fn install(&mut self, page: VirtPage, index: UtlbIndex) -> Option<UtlbIndex> {
         let (dir, leaf) = Self::split(page);
-        let table = self
-            .directory
-            .entry(dir)
-            .or_insert_with(|| vec![None; LEAF_ENTRIES as usize].into_boxed_slice());
+        let spare = &mut self.spare;
+        let table = self.directory.entry(dir).or_insert_with(|| {
+            spare
+                .pop()
+                .unwrap_or_else(|| vec![None; LEAF_ENTRIES as usize].into_boxed_slice())
+        });
         let old = table[leaf].replace(index);
         if old.is_none() {
             self.entries += 1;
@@ -76,6 +84,16 @@ impl UserLookupTree {
     pub fn leaf(&self, page: VirtPage) -> Option<(&[Option<UtlbIndex>], usize)> {
         let (dir, leaf) = Self::split(page);
         self.directory.get(&dir).map(|l| (&l[..], leaf))
+    }
+
+    /// Removes every mapping, keeping the emptied leaves for reuse: a
+    /// cleared tree looks up exactly like a new one.
+    pub fn clear(&mut self) {
+        for (_, mut leaf) in self.directory.drain() {
+            leaf.fill(None);
+            self.spare.push(leaf);
+        }
+        self.entries = 0;
     }
 
     /// Invalidates the mapping for `page`, returning the removed index.
@@ -133,6 +151,31 @@ mod tests {
         assert_eq!(slice[off + 2], None);
         assert_eq!(slice.len(), LEAF_ENTRIES as usize);
         assert!(t.leaf(page(LEAF_ENTRIES)).is_none(), "unpopulated leaf");
+    }
+
+    #[test]
+    fn a_cleared_tree_has_no_stale_entries() {
+        let mut t = UserLookupTree::new();
+        t.install(page(3), UtlbIndex(1));
+        t.install(page(3 + LEAF_ENTRIES), UtlbIndex(2));
+        t.clear();
+        assert!(t.is_empty());
+        assert_eq!(t.lookup(page(3)), None);
+        assert!(t.leaf(page(3)).is_none(), "no leaf survives a clear");
+        // The reused leaves come back empty wherever they land.
+        t.install(page(7 + 5 * LEAF_ENTRIES), UtlbIndex(9));
+        t.install(page(8 + 6 * LEAF_ENTRIES), UtlbIndex(10));
+        let (slice, _) = t.leaf(page(5 * LEAF_ENTRIES)).expect("leaf populated");
+        assert_eq!(slice.iter().flatten().count(), 1);
+        let (slice, _) = t.leaf(page(6 * LEAF_ENTRIES)).expect("leaf populated");
+        assert_eq!(slice.iter().flatten().count(), 1);
+        assert_eq!(t.lookup(page(3)), None);
+        assert_eq!(t.lookup(page(3 + LEAF_ENTRIES)), None);
+        assert_eq!(t.lookup(page(7 + 5 * LEAF_ENTRIES)), Some(UtlbIndex(9)));
+        assert_eq!(t.len(), 2);
+        // A third leaf is new storage.
+        t.install(page(9 * LEAF_ENTRIES), UtlbIndex(11));
+        assert_eq!(t.len(), 3);
     }
 
     #[test]

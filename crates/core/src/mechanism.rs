@@ -83,8 +83,9 @@ pub trait TranslationMechanism {
     ) -> Result<Vec<PageOutcome>>;
 
     /// Translates a batch into a caller-owned buffer, appending one outcome
-    /// per page — the path the replay runners drive. A pure hit allocates
-    /// nothing; a NIC miss or a pin may allocate inside the engine.
+    /// per page — the path the replay runners drive. Once the engine's
+    /// buffers have grown, neither a hit nor a NIC miss, pin or eviction
+    /// allocates (`crates/sim/tests/alloc_budget.rs` checks it).
     ///
     /// Outcomes, statistics, probe events, and clock charges are identical
     /// to [`lookup_run`](TranslationMechanism::lookup_run); only the

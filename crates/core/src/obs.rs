@@ -314,12 +314,21 @@ impl Histogram {
         (64 - ns.leading_zeros()) as usize
     }
 
+    /// Extends the occupied buckets to `len`. The first growth reserves
+    /// room for every bucket a `u64` can reach, so a histogram allocates
+    /// once however far its samples later spread.
+    fn grow_to(&mut self, len: usize) {
+        if self.buckets.len() < len {
+            self.buckets
+                .reserve_exact(Self::bucket_of(u64::MAX) + 1 - self.buckets.len());
+            self.buckets.resize(len, 0);
+        }
+    }
+
     /// Records one sample.
     pub fn record(&mut self, ns: u64) {
         let b = Self::bucket_of(ns);
-        if self.buckets.len() <= b {
-            self.buckets.resize(b + 1, 0);
-        }
+        self.grow_to(b + 1);
         self.buckets[b] += 1;
         if self.count == 0 || ns < self.min {
             self.min = ns;
@@ -334,9 +343,7 @@ impl Histogram {
         if other.count == 0 {
             return;
         }
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
+        self.grow_to(other.buckets.len());
         for (b, n) in other.buckets.iter().enumerate() {
             self.buckets[b] += n;
         }

@@ -59,6 +59,13 @@ pub struct PerProcessEngine {
     cfg: PerProcessConfig,
     procs: IntMap<ProcessId, ProcState>,
     probe: ProbeSlot,
+    /// Cleared lookup trees and pin cores of unregistered processes,
+    /// reused by the next registrations (the SRAM table is not: it is a
+    /// lifetime allocation). Never longer than the peak count of
+    /// registered processes.
+    spare: Vec<(UserLookupTree, PinCore)>,
+    /// Events of the lookup in flight, buffered across its miss path.
+    events: Vec<Event>,
 }
 
 impl PerProcessEngine {
@@ -68,6 +75,8 @@ impl PerProcessEngine {
             cfg,
             procs: IntMap::default(),
             probe: ProbeSlot::detached(),
+            spare: Vec::new(),
+            events: Vec::new(),
         }
     }
 }
@@ -96,14 +105,20 @@ impl HitPath for PerProcessEngine {
     ) -> Result<PageOutcome> {
         // Disjoint borrows: the cost model stays borrowed across the miss
         // path while the process state is mutated.
-        let PerProcessEngine { cfg, procs, probe } = self;
+        let PerProcessEngine {
+            cfg,
+            procs,
+            probe,
+            events,
+            ..
+        } = self;
         let cost = &cfg.cost;
         let t0 = board.clock.now();
         // One `state` borrow spans the whole miss path, so events are
-        // buffered and flushed once it ends (the buffer never allocates
-        // with the probe detached).
+        // buffered and flushed once it ends (into a buffer the engine
+        // reuses, and only with a probe attached).
         let probe_on = probe.is_attached();
-        let mut events: Vec<Event> = Vec::new();
+        events.clear();
         let mut sink = |ev: Event| {
             if probe_on {
                 events.push(ev);
@@ -114,56 +129,53 @@ impl HitPath for PerProcessEngine {
 
         // User-level lookup: two memory references.
         charge_us(board, cost.user_check_us);
-        let (index, check_miss) =
-            match state.tree.lookup(page) {
-                Some(ix) => (ix, false),
-                None => {
-                    state.core.stats.check_misses += 1;
-                    sink(Event::CheckMiss);
-                    // Capacity: evict table entries until a slot frees up.
-                    let mut slot = state.table.alloc_slot();
-                    while slot.is_none() {
-                        let victim = state.core.pinned.select_victims(1).pop().ok_or(
-                            UtlbError::TableFull {
-                                pid,
-                                capacity: state.table.capacity(),
-                            },
-                        )?;
-                        let victim_ix = state
-                            .tree
-                            .invalidate(victim)
-                            .expect("pinned pages are in the tree");
-                        state.table.evict(victim_ix, &mut board.sram)?;
-                        state.core.unpin(
-                            host,
-                            board,
-                            pid,
-                            victim,
-                            cost.unpin_cost(1),
-                            EvictReason::TableFull,
-                            &mut sink,
-                        )?;
-                        slot = state.table.alloc_slot();
-                    }
-                    let slot = slot.expect("freed above");
-                    let pinned =
-                        state
-                            .core
-                            .pin(host, board, pid, page, 1, cost.pin_cost(1), &mut sink)?;
-                    state
-                        .table
-                        .install(slot, pinned[0].phys_addr(), &mut board.sram)?;
-                    state.tree.install(page, slot);
-                    (slot, true)
+        let (index, check_miss) = match state.tree.lookup(page) {
+            Some(ix) => (ix, false),
+            None => {
+                state.core.stats.check_misses += 1;
+                sink(Event::CheckMiss);
+                // Capacity: evict table entries until a slot frees up.
+                let mut slot = state.table.alloc_slot();
+                while slot.is_none() {
+                    let victim = state.core.select_victim().ok_or(UtlbError::TableFull {
+                        pid,
+                        capacity: state.table.capacity(),
+                    })?;
+                    let victim_ix = state
+                        .tree
+                        .invalidate(victim)
+                        .expect("pinned pages are in the tree");
+                    state.table.evict(victim_ix, &mut board.sram)?;
+                    state.core.unpin(
+                        host,
+                        board,
+                        pid,
+                        victim,
+                        cost.unpin_cost(1),
+                        EvictReason::TableFull,
+                        &mut sink,
+                    )?;
+                    slot = state.table.alloc_slot();
                 }
-            };
+                let slot = slot.expect("freed above");
+                let pinned =
+                    state
+                        .core
+                        .pin(host, board, pid, page, 1, cost.pin_cost(1), &mut sink)?;
+                state
+                    .table
+                    .install(slot, pinned[0].phys_addr(), &mut board.sram)?;
+                state.tree.install(page, slot);
+                (slot, true)
+            }
+        };
         state.core.pinned.touch(page);
 
         // NIC side: direct table read — never a miss in this variant.
         charge_us(board, cost.ni_check_us);
         let phys = state.table.read(index, &board.sram)?;
         if probe_on {
-            for ev in events {
+            for ev in events.drain(..) {
                 probe.emit(pid, ev);
             }
             let ns = (board.clock.now() - t0).as_nanos();
@@ -235,14 +247,17 @@ impl TranslationMechanism for PerProcessEngine {
         }
         let garbage = host.driver().garbage_addr();
         let table = PerProcessTable::new(pid, self.cfg.table_entries, &mut board.sram, garbage)?;
-        self.procs.insert(
-            pid,
-            ProcState {
-                table,
-                tree: UserLookupTree::new(),
-                core: PinCore::new(self.cfg.policy, self.cfg.seed, pid),
-            },
-        );
+        let (tree, core) = match self.spare.pop() {
+            Some((tree, mut core)) => {
+                core.reset(self.cfg.seed, pid);
+                (tree, core)
+            }
+            None => (
+                UserLookupTree::new(),
+                PinCore::new(self.cfg.policy, self.cfg.seed, pid),
+            ),
+        };
+        self.procs.insert(pid, ProcState { table, tree, core });
         Ok(())
     }
 
@@ -257,9 +272,12 @@ impl TranslationMechanism for PerProcessEngine {
         _board: &mut Board,
         pid: ProcessId,
     ) -> Result<()> {
-        self.procs
+        let ProcState { mut tree, core, .. } = self
+            .procs
             .remove(&pid)
             .ok_or(UtlbError::UnregisteredProcess(pid))?;
+        tree.clear();
+        self.spare.push((tree, core));
         host.driver_mut().pins_mut().release_process(pid);
         Ok(())
     }

@@ -30,12 +30,28 @@ pub fn charge_us(board: &mut Board, us: f64) {
 }
 
 /// Per-process pinning state and counters, shared by every engine.
+///
+/// The core owns the buffers its driver calls and victim selections fill,
+/// so a pin or an eviction allocates nothing once they have grown, and
+/// [`reset`](Self::reset) lets an engine hand a dead process' core, buffers
+/// and all, to the next process it registers.
 #[derive(Debug)]
 pub struct PinCore {
     /// Pinned pages under the application-chosen replacement policy.
     pub pinned: PinnedSet,
     /// The engine's counters for this process.
     pub stats: TranslationStats,
+    /// Out of line: only the miss path touches them.
+    bufs: Box<PinBuffers>,
+}
+
+/// The buffers a [`PinCore`] fills.
+#[derive(Debug, Default)]
+struct PinBuffers {
+    /// The translations of the last [`PinCore::pin`].
+    translations: Vec<PinnedPage>,
+    /// The victim of the last [`PinCore::select_victim`].
+    victims: Vec<VirtPage>,
 }
 
 impl PinCore {
@@ -46,7 +62,22 @@ impl PinCore {
         PinCore {
             pinned: PinnedSet::new(policy, seed ^ pid.raw() as u64),
             stats: TranslationStats::default(),
+            bufs: Box::default(),
         }
+    }
+
+    /// Readies this core for `pid` exactly as [`PinCore::new`] with the
+    /// same policy and `seed` would, keeping the storage it grew.
+    pub fn reset(&mut self, seed: u64, pid: ProcessId) {
+        self.pinned.reset(seed ^ pid.raw() as u64);
+        self.stats = TranslationStats::default();
+    }
+
+    /// The replacement policy's single next victim, if any page is
+    /// evictable.
+    pub fn select_victim(&mut self) -> Option<VirtPage> {
+        self.pinned.select_victims(1, &mut self.bufs.victims);
+        self.bufs.victims.first().copied()
     }
 
     /// The counter/recency work of a pure translation hit, shared by every
@@ -98,9 +129,9 @@ impl PinCore {
     /// `start` through one driver call, track them in the replacement set,
     /// bump the counters, and narrate one `Pin` event.
     ///
-    /// Returns the driver's `(page, frame)` pairs so the caller can install
-    /// the translations in its own structure — the only step that differs
-    /// between engines.
+    /// Returns the driver's `(page, frame)` pairs, from a buffer the core
+    /// owns, so the caller can install the translations in its own
+    /// structure — the only step that differs between engines.
     ///
     /// # Errors
     ///
@@ -115,21 +146,20 @@ impl PinCore {
         run: u64,
         pin_us: f64,
         sink: &mut dyn FnMut(Event),
-    ) -> Result<Vec<PinnedPage>> {
+    ) -> Result<&[PinnedPage]> {
         charge_us(board, pin_us);
-        let pinned = host.driver_pin(pid, start, run)?;
-        for p in &pinned {
+        let translations = &mut self.bufs.translations;
+        host.driver_pin(pid, start, run, translations)?;
+        for p in translations.iter() {
             self.pinned.insert(p.page());
         }
-        self.stats.pins += pinned.len() as u64;
+        let pinned = translations.len() as u64;
+        self.stats.pins += pinned;
         self.stats.pin_calls += 1;
         let ns = (pin_us * 1000.0) as u64;
         self.stats.pin_time_ns += ns;
-        sink(Event::Pin {
-            run: pinned.len() as u64,
-            ns,
-        });
-        Ok(pinned)
+        sink(Event::Pin { run: pinned, ns });
+        Ok(&self.bufs.translations)
     }
 }
 
@@ -230,6 +260,49 @@ mod tests {
                 Event::Unpin { ns: 25_000 },
             ]
         );
+    }
+
+    #[test]
+    fn a_reset_core_starts_like_a_new_one() {
+        let mut host = Host::new(1 << 12);
+        let mut board = Board::new();
+        let p1 = host.spawn_process();
+        let p2 = host.spawn_process();
+        let mut core = PinCore::new(Policy::Random, 5, p1);
+        core.pin(
+            &mut host,
+            &mut board,
+            p1,
+            VirtPage::new(0),
+            4,
+            1.0,
+            &mut |_| {},
+        )
+        .unwrap();
+        core.stats.lookups = 9;
+        core.reset(5, p2);
+        assert_eq!(core.stats, TranslationStats::default());
+        assert!(core.pinned.is_empty());
+        let mut fresh = PinCore::new(Policy::Random, 5, p2);
+        for c in [&mut core, &mut fresh] {
+            c.pin(
+                &mut host,
+                &mut board,
+                p2,
+                VirtPage::new(10),
+                6,
+                1.0,
+                &mut |_| {},
+            )
+            .unwrap();
+        }
+        for _ in 0..3 {
+            let victim = core.select_victim();
+            assert_eq!(victim, fresh.select_victim());
+            let victim = victim.expect("six pages are evictable");
+            core.pinned.remove(victim);
+            fresh.pinned.remove(victim);
+        }
     }
 
     #[test]

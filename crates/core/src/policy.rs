@@ -75,19 +75,36 @@ type LruEntry = Reverse<(u64, u64)>;
 /// The structure is policy-agnostic: every access records both recency and
 /// frequency, and [`PinnedSet::select_victims`] applies whichever policy the
 /// application chose.
+///
+/// Selection fills the caller's victim buffer and works in state the set
+/// boxes on its first selection. Once that has grown, a selection
+/// allocates nothing, and the hit path's [`touch`](PinnedSet::touch) works
+/// on a set no larger than its page map and counters.
 #[derive(Debug)]
 pub struct PinnedSet {
     pages: IntMap<u64, PageMeta>,
     policy: Policy,
     tick: u64,
     rng: StdRng,
-    /// LRU only, built on the first eviction: a min-heap of `(last_use,
-    /// page)` entries whose updates are deferred until a victim is needed.
-    /// Every tracked page has exactly one live entry, and its key is at
-    /// most the page's `last_use` (touches only raise it), so a stale
-    /// entry sits too early, never too late; popping re-pushes it with its
-    /// current key.
-    lru: Option<BinaryHeap<LruEntry>>,
+    /// Selection state, out of line; `None` until the first selection.
+    evict: Option<Box<Eviction>>,
+}
+
+/// A [`PinnedSet`]'s selection state.
+#[derive(Debug, Default)]
+struct Eviction {
+    /// LRU only, built on the first selection (`lru_built`): a min-heap of
+    /// `(last_use, page)` entries whose updates are deferred until a victim
+    /// is needed. Every tracked page has exactly one live entry, and its
+    /// key is at most the page's `last_use` (touches only raise it), so a
+    /// stale entry sits too early, never too late; popping re-pushes it
+    /// with its current key.
+    lru: BinaryHeap<LruEntry>,
+    lru_built: bool,
+    /// LRU selection scratch: popped entries that go back on the heap.
+    keep: Vec<LruEntry>,
+    /// Sorted-selection scratch: the evictable pages and their metadata.
+    candidates: Vec<(u64, PageMeta)>,
 }
 
 impl PinnedSet {
@@ -99,7 +116,20 @@ impl PinnedSet {
             policy,
             tick: 0,
             rng: StdRng::seed_from_u64(seed),
-            lru: None,
+            evict: None,
+        }
+    }
+
+    /// Empties the set and re-seeds it, keeping the storage it grew: from
+    /// here on it selects exactly the victims `PinnedSet::new(policy,
+    /// seed)` would, for the same policy.
+    pub fn reset(&mut self, seed: u64) {
+        self.pages.clear();
+        self.tick = 0;
+        self.rng = StdRng::seed_from_u64(seed);
+        if let Some(ev) = &mut self.evict {
+            ev.lru.clear();
+            ev.lru_built = false;
         }
     }
 
@@ -135,12 +165,12 @@ impl PinnedSet {
                 queued: self.tick,
             },
         );
-        if let Some(heap) = &mut self.lru {
-            heap.push(Reverse((self.tick, page.number())));
+        if let Some(ev) = self.evict.as_deref_mut().filter(|ev| ev.lru_built) {
+            ev.lru.push(Reverse((self.tick, page.number())));
             // Dead entries only leave the heap when popped; rebuild before
             // they outnumber the live ones so the heap stays O(len).
-            if heap.len() > 2 * self.pages.len() + 32 {
-                self.lru = Some(Self::build_lru(&mut self.pages));
+            if ev.lru.len() > 2 * self.pages.len() + 32 {
+                Self::build_lru(&mut ev.lru, &mut self.pages);
             }
         }
     }
@@ -181,42 +211,53 @@ impl PinnedSet {
         self.pages.values().filter(|m| m.outstanding == 0).count()
     }
 
-    /// Selects up to `count` victim pages to unpin, per the policy.
+    /// Selects up to `count` victim pages to unpin, per the policy, into
+    /// `out`, which it clears first.
     ///
-    /// Held pages are never selected. Returns fewer than `count` victims if
+    /// Held pages are never selected. Selects fewer than `count` victims if
     /// not enough pages are evictable. Victims are *not* removed; call
     /// [`PinnedSet::remove`] once the unpin succeeds.
-    pub fn select_victims(&mut self, count: usize) -> Vec<VirtPage> {
+    pub fn select_victims(&mut self, count: usize, out: &mut Vec<VirtPage>) {
+        out.clear();
         if count == 0 {
-            return Vec::new();
+            return;
         }
+        let mut ev = self.evict.take().unwrap_or_default();
         match self.policy {
-            Policy::Lru => self.select_lru(count),
-            _ => self.select_sorted(count),
+            Policy::Lru => self.select_lru(&mut ev, count, out),
+            _ => self.select_sorted(&mut ev.candidates, count, out),
         }
+        self.evict = Some(ev);
     }
 
-    /// One live entry per tracked page, keyed by its current `last_use`.
-    fn build_lru(pages: &mut IntMap<u64, PageMeta>) -> BinaryHeap<LruEntry> {
-        pages
-            .iter_mut()
-            .map(|(&p, m)| {
-                m.queued = m.last_use;
-                Reverse((m.last_use, p))
-            })
-            .collect()
+    /// Refills `heap` with one live entry per tracked page, keyed by its
+    /// current `last_use`.
+    fn build_lru(heap: &mut BinaryHeap<LruEntry>, pages: &mut IntMap<u64, PageMeta>) {
+        heap.clear();
+        heap.extend(pages.iter_mut().map(|(&p, m)| {
+            m.queued = m.last_use;
+            Reverse((m.last_use, p))
+        }));
     }
 
     /// LRU selection from the lazy heap: O(log n) per victim, plus one
     /// re-push per page touched since its entry was pushed. Victims come
     /// out in exactly the `(last_use, page)` order a full sort gives.
-    fn select_lru(&mut self, count: usize) -> Vec<VirtPage> {
+    fn select_lru(&mut self, ev: &mut Eviction, count: usize, victims: &mut Vec<VirtPage>) {
         let pages = &mut self.pages;
-        let heap = self.lru.get_or_insert_with(|| Self::build_lru(pages));
-        let mut victims = Vec::with_capacity(count.min(pages.len()));
+        let Eviction {
+            lru: heap,
+            lru_built,
+            keep,
+            ..
+        } = ev;
+        if !*lru_built {
+            Self::build_lru(heap, pages);
+            *lru_built = true;
+        }
         // Held pages stay tracked; so do victims until the caller removes
         // them after a successful unpin. Both get their live entries back.
-        let mut keep = Vec::new();
+        keep.clear();
         while victims.len() < count {
             let Some(Reverse((key, p))) = heap.pop() else {
                 break;
@@ -238,20 +279,25 @@ impl PinnedSet {
             }
             keep.push(Reverse((key, p)));
         }
-        heap.extend(keep);
-        victims
+        heap.extend(keep.drain(..));
     }
 
     /// Collect-and-sort selection for the policies whose keys a touch can
     /// move toward the head of a heap (MRU, MFU), that need the page-sorted
     /// shuffle (RANDOM), or that run only in the policy ablations (LFU).
-    fn select_sorted(&mut self, count: usize) -> Vec<VirtPage> {
-        let mut candidates: Vec<(u64, PageMeta)> = self
-            .pages
-            .iter()
-            .filter(|(_, m)| m.outstanding == 0)
-            .map(|(p, m)| (*p, *m))
-            .collect();
+    fn select_sorted(
+        &mut self,
+        candidates: &mut Vec<(u64, PageMeta)>,
+        count: usize,
+        victims: &mut Vec<VirtPage>,
+    ) {
+        candidates.clear();
+        candidates.extend(
+            self.pages
+                .iter()
+                .filter(|(_, m)| m.outstanding == 0)
+                .map(|(p, m)| (*p, *m)),
+        );
         match self.policy {
             Policy::Lru => unreachable!("LRU selects from the lazy heap"),
             Policy::Mru => candidates.sort_by_key(|(p, m)| (Reverse(m.last_use), *p)),
@@ -269,11 +315,12 @@ impl PinnedSet {
                 }
             }
         }
-        candidates
-            .into_iter()
-            .take(count)
-            .map(|(p, _)| VirtPage::new(p))
-            .collect()
+        victims.extend(
+            candidates
+                .iter()
+                .take(count)
+                .map(|(p, _)| VirtPage::new(*p)),
+        );
     }
 }
 
@@ -283,6 +330,12 @@ mod tests {
 
     fn page(n: u64) -> VirtPage {
         VirtPage::new(n)
+    }
+
+    fn victims(s: &mut PinnedSet, count: usize) -> Vec<VirtPage> {
+        let mut out = vec![page(999)];
+        s.select_victims(count, &mut out);
+        out
     }
 
     fn set_with_pages(policy: Policy) -> PinnedSet {
@@ -302,35 +355,35 @@ mod tests {
     #[test]
     fn lru_selects_oldest() {
         let mut s = set_with_pages(Policy::Lru);
-        assert_eq!(s.select_victims(1), vec![page(0)]);
+        assert_eq!(victims(&mut s, 1), vec![page(0)]);
     }
 
     #[test]
     fn mru_selects_newest() {
         let mut s = set_with_pages(Policy::Mru);
-        assert_eq!(s.select_victims(1), vec![page(3)]);
+        assert_eq!(victims(&mut s, 1), vec![page(3)]);
     }
 
     #[test]
     fn lfu_selects_least_used() {
         let mut s = set_with_pages(Policy::Lfu);
         // Page 0 has 1 use and is the least recently used tie-breaker.
-        assert_eq!(s.select_victims(1), vec![page(0)]);
+        assert_eq!(victims(&mut s, 1), vec![page(0)]);
     }
 
     #[test]
     fn mfu_selects_most_used() {
         let mut s = set_with_pages(Policy::Mfu);
         // Page 1 has 3 uses (insert + 2 touches).
-        assert_eq!(s.select_victims(1), vec![page(1)]);
+        assert_eq!(victims(&mut s, 1), vec![page(1)]);
     }
 
     #[test]
     fn random_is_deterministic_per_seed_and_within_set() {
         let mut a = set_with_pages(Policy::Random);
         let mut b = set_with_pages(Policy::Random);
-        assert_eq!(a.select_victims(2), b.select_victims(2));
-        let vs = a.select_victims(4);
+        assert_eq!(victims(&mut a, 2), victims(&mut b, 2));
+        let vs = victims(&mut a, 4);
         assert_eq!(vs.len(), 4);
     }
 
@@ -339,12 +392,12 @@ mod tests {
         let mut s = set_with_pages(Policy::Lru);
         s.hold(page(0));
         s.hold(page(0));
-        assert_eq!(s.select_victims(1), vec![page(1)]);
+        assert_eq!(victims(&mut s, 1), vec![page(1)]);
         assert_eq!(s.evictable(), 3);
         s.release(page(0));
-        assert_eq!(s.select_victims(1), vec![page(1)], "still one hold left");
+        assert_eq!(victims(&mut s, 1), vec![page(1)], "still one hold left");
         s.release(page(0));
-        assert_eq!(s.select_victims(1), vec![page(0)]);
+        assert_eq!(victims(&mut s, 1), vec![page(0)]);
         // Releasing an unheld page is a no-op.
         s.release(page(2));
     }
@@ -353,7 +406,7 @@ mod tests {
     fn select_caps_at_evictable_count() {
         let mut s = set_with_pages(Policy::Lru);
         s.hold(page(2));
-        let vs = s.select_victims(10);
+        let vs = victims(&mut s, 10);
         assert_eq!(vs.len(), 3);
         assert!(!vs.contains(&page(2)));
     }
@@ -383,37 +436,38 @@ mod tests {
     #[test]
     fn lru_heap_is_built_on_first_eviction_only() {
         let mut s = set_with_pages(Policy::Lru);
-        assert!(s.lru.is_none(), "touch and insert never build the heap");
-        assert!(s.select_victims(0).is_empty());
-        assert!(s.lru.is_none(), "an empty request selects nothing");
-        assert_eq!(numbers(s.select_victims(1)), vec![0]);
-        assert!(s.lru.is_some());
+        let lru_built = |s: &PinnedSet| s.evict.as_ref().is_some_and(|ev| ev.lru_built);
+        assert!(!lru_built(&s), "touch and insert never build the heap");
+        assert!(victims(&mut s, 0).is_empty());
+        assert!(!lru_built(&s), "an empty request selects nothing");
+        assert_eq!(numbers(victims(&mut s, 1)), vec![0]);
+        assert!(lru_built(&s));
     }
 
     #[test]
     fn lru_repeated_select_without_eviction_is_stable() {
         let mut s = set_with_pages(Policy::Lru);
         // Nothing removed between selects: victims stay in the heap.
-        assert_eq!(numbers(s.select_victims(2)), vec![0, 1]);
-        assert_eq!(numbers(s.select_victims(2)), vec![0, 1]);
-        assert_eq!(numbers(s.select_victims(4)), vec![0, 1, 2, 3]);
+        assert_eq!(numbers(victims(&mut s, 2)), vec![0, 1]);
+        assert_eq!(numbers(victims(&mut s, 2)), vec![0, 1]);
+        assert_eq!(numbers(victims(&mut s, 4)), vec![0, 1, 2, 3]);
         // A touch after the build moves the page to the back.
         s.touch(page(0));
-        assert_eq!(numbers(s.select_victims(4)), vec![1, 2, 3, 0]);
+        assert_eq!(numbers(victims(&mut s, 4)), vec![1, 2, 3, 0]);
     }
 
     #[test]
     fn lru_remove_then_reinsert_uses_the_new_recency() {
         let mut s = set_with_pages(Policy::Lru);
-        assert_eq!(numbers(s.select_victims(1)), vec![0]);
+        assert_eq!(numbers(victims(&mut s, 1)), vec![0]);
         s.remove(page(0));
-        assert_eq!(numbers(s.select_victims(1)), vec![1]);
+        assert_eq!(numbers(victims(&mut s, 1)), vec![1]);
         s.insert(page(0));
-        assert_eq!(numbers(s.select_victims(4)), vec![1, 2, 3, 0]);
+        assert_eq!(numbers(victims(&mut s, 4)), vec![1, 2, 3, 0]);
         // Re-inserting a tracked page also resets its recency; its old
         // heap entry is dead and never yields a duplicate.
         s.insert(page(2));
-        assert_eq!(numbers(s.select_victims(4)), vec![1, 3, 0, 2]);
+        assert_eq!(numbers(victims(&mut s, 4)), vec![1, 3, 0, 2]);
         assert_eq!(s.len(), 4);
     }
 
@@ -422,34 +476,53 @@ mod tests {
         let mut s = set_with_pages(Policy::Lru);
         s.hold(page(0));
         s.hold(page(2));
-        assert_eq!(numbers(s.select_victims(2)), vec![1, 3]);
+        assert_eq!(numbers(victims(&mut s, 2)), vec![1, 3]);
         s.release(page(0));
-        assert_eq!(numbers(s.select_victims(2)), vec![0, 1]);
+        assert_eq!(numbers(victims(&mut s, 2)), vec![0, 1]);
         s.release(page(2));
-        assert_eq!(numbers(s.select_victims(3)), vec![0, 1, 2]);
+        assert_eq!(numbers(victims(&mut s, 3)), vec![0, 1, 2]);
     }
 
     #[test]
     fn lru_count_beyond_evictable_returns_all_evictable_in_order() {
         let mut s = set_with_pages(Policy::Lru);
         s.hold(page(3));
-        assert_eq!(numbers(s.select_victims(10)), vec![0, 1, 2]);
+        assert_eq!(numbers(victims(&mut s, 10)), vec![0, 1, 2]);
         // The exhausted heap was fully restored.
-        assert_eq!(numbers(s.select_victims(10)), vec![0, 1, 2]);
+        assert_eq!(numbers(victims(&mut s, 10)), vec![0, 1, 2]);
         s.release(page(3));
-        assert_eq!(numbers(s.select_victims(10)), vec![0, 1, 2, 3]);
+        assert_eq!(numbers(victims(&mut s, 10)), vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn lru_heap_stays_bounded_under_reinserts() {
         let mut s = set_with_pages(Policy::Lru);
-        s.select_victims(1);
+        victims(&mut s, 1);
         for i in 0..10_000 {
             s.insert(page(i % 4));
         }
-        let heap_len = s.lru.as_ref().map_or(0, |h| h.len());
+        let heap_len = s.evict.as_ref().map_or(0, |ev| ev.lru.len());
         assert!(heap_len <= 2 * s.len() + 33, "heap grew to {heap_len}");
-        assert_eq!(numbers(s.select_victims(4)), vec![0, 1, 2, 3]);
+        assert_eq!(numbers(victims(&mut s, 4)), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn reset_empties_the_set_and_restarts_its_seed() {
+        for policy in Policy::ALL {
+            let mut fresh = set_with_pages(policy);
+            let mut reused = set_with_pages(policy);
+            victims(&mut reused, 2);
+            reused.insert(page(17));
+            reused.reset(42);
+            assert!(reused.is_empty(), "{policy}");
+            for i in 0..4 {
+                reused.insert(page(i));
+            }
+            for p in [1, 1, 2, 3] {
+                reused.touch(page(p));
+            }
+            assert_eq!(victims(&mut reused, 3), victims(&mut fresh, 3), "{policy}");
+        }
     }
 
     #[test]

@@ -125,6 +125,35 @@ fn any_assoc() -> impl Strategy<Value = Associativity> {
     ]
 }
 
+/// Applies one generated operation to `set`: insert, touch, hold,
+/// release, remove, or (ops 5+) select `k` victims into `victims`,
+/// evicting them when `page` is even. `victims` is cleared by every op
+/// but a select.
+fn apply_set_op(
+    set: &mut PinnedSet,
+    op: u8,
+    page: VirtPage,
+    k: usize,
+    victims: &mut Vec<VirtPage>,
+) {
+    victims.clear();
+    match op {
+        0 => set.insert(page),
+        1 => set.touch(page),
+        2 => set.hold(page),
+        3 => set.release(page),
+        4 => set.remove(page),
+        _ => {
+            set.select_victims(k, victims);
+            if page.number().is_multiple_of(2) {
+                for &v in victims.iter() {
+                    set.remove(v);
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     /// The Shared UTLB-Cache behaves like a map with bounded residency:
     /// a lookup after insert either returns exactly what was inserted or
@@ -225,7 +254,8 @@ proptest! {
         for &h in &held {
             set.hold(VirtPage::new(h)); // no-op for untracked pages
         }
-        let victims = set.select_victims(want);
+        let mut victims = Vec::new();
+        set.select_victims(want, &mut victims);
         prop_assert!(victims.len() <= want);
         let evictable = pages.iter().filter(|p| !held.contains(p)).count();
         prop_assert_eq!(victims.len(), want.min(evictable));
@@ -274,7 +304,8 @@ proptest! {
                     spec.remove(page);
                 }
                 _ => {
-                    let got = set.select_victims(k);
+                    let mut got = Vec::new();
+                    set.select_victims(k, &mut got);
                     prop_assert_eq!(&got, &spec.select_victims(k));
                     // Evict what was chosen, as the engines do — or, on
                     // odd pages, select again later without evicting.
@@ -287,6 +318,35 @@ proptest! {
                 }
             }
             prop_assert_eq!(set.len(), spec.len());
+        }
+    }
+
+    /// A set reset to `seed` selects exactly the victims of a new set with
+    /// that seed, whatever the reset set went through before: its LRU
+    /// heap, scratch buffers and RANDOM stream all restart. Both sets run
+    /// the same interleaving of insert, touch, hold, release, remove and
+    /// select (with or without evicting the victims).
+    #[test]
+    fn a_reset_set_selects_like_a_new_one(
+        policy_ix in 0usize..5,
+        seed in any::<u64>(),
+        history in proptest::collection::vec((0u8..6, 0u64..24, 1usize..8), 0..120),
+        ops in proptest::collection::vec((0u8..6, 0u64..24, 1usize..8), 1..200),
+    ) {
+        let policy = Policy::ALL[policy_ix];
+        let mut reused = PinnedSet::new(policy, !seed);
+        let mut scratch = Vec::new();
+        for &(op, vpn, k) in &history {
+            apply_set_op(&mut reused, op, VirtPage::new(vpn), k, &mut scratch);
+        }
+        reused.reset(seed);
+        let mut fresh = PinnedSet::new(policy, seed);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for (op, vpn, k) in ops {
+            apply_set_op(&mut reused, op, VirtPage::new(vpn), k, &mut got);
+            apply_set_op(&mut fresh, op, VirtPage::new(vpn), k, &mut want);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(reused.len(), fresh.len());
         }
     }
 

@@ -92,6 +92,15 @@ impl CreditWindow {
         }
     }
 
+    /// Empties the window for a new connection, exactly as
+    /// [`CreditWindow::new`] with the same credits and queue depth would,
+    /// but keeping the in-flight storage it grew.
+    pub fn reset(&mut self) {
+        self.in_flight.clear();
+        self.last_arrival = Nanos::ZERO;
+        self.stats = AdmissionStats::default();
+    }
+
     /// Credits in the window.
     pub fn window(&self) -> usize {
         self.window
@@ -278,6 +287,33 @@ mod tests {
             (grants, w.stats())
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn a_reset_window_grants_like_a_new_one() {
+        let grants = |w: &mut CreditWindow| {
+            (0..50u64)
+                .map(|i| match w.offer(ns(i * 5)) {
+                    AdmissionOutcome::Admitted(a) => {
+                        w.complete(a.at + ns(30 + (i % 4) * 11));
+                        Some(a)
+                    }
+                    AdmissionOutcome::Rejected => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        let mut used = CreditWindow::new(2, 3);
+        grants(&mut used);
+        assert!(
+            used.in_flight() > 0,
+            "the old connection left work in flight"
+        );
+        used.reset();
+        let mut fresh = CreditWindow::new(2, 3);
+        assert_eq!(used.in_flight(), 0);
+        assert_eq!(used.stats(), AdmissionStats::default());
+        assert_eq!(grants(&mut used), grants(&mut fresh));
+        assert_eq!(used.stats(), fresh.stats());
     }
 
     #[test]

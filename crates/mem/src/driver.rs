@@ -82,11 +82,15 @@ impl HostDriver {
     }
 
     /// The pin/unpin `ioctl`: pins `count` consecutive pages starting at
-    /// `start` and returns their translations.
+    /// `start` and reports their translations in `out`, which it clears
+    /// first and fills with one entry per page, in page order. The caller
+    /// owns `out` and reuses it across calls, so a pin allocates nothing
+    /// once the buffer has grown to the longest run.
     ///
     /// Pages are mapped on demand first (the OS would fault them in before
     /// locking). On a limit violation, pages pinned earlier in the same call
-    /// are rolled back so the call is all-or-nothing.
+    /// are rolled back so the call is all-or-nothing, and `out` is left
+    /// empty.
     ///
     /// # Errors
     ///
@@ -99,25 +103,26 @@ impl HostDriver {
         phys: &mut PhysicalMemory,
         start: VirtPage,
         count: u64,
-    ) -> Result<Vec<PinnedPage>> {
+        out: &mut Vec<PinnedPage>,
+    ) -> Result<()> {
         let pid = process.id();
-        let mut pinned = Vec::with_capacity(count as usize);
+        out.clear();
         for page in start.range(count) {
-            let frame = match process.space_mut().translate_or_map(page, phys) {
-                Ok(f) => f,
+            let pinned = process
+                .space_mut()
+                .translate_or_map(page, phys)
+                .and_then(|frame| self.pins.pin(pid, page).map(|()| frame));
+            match pinned {
+                Ok(frame) => out.push(PinnedPage::new(page, frame)),
                 Err(e) => {
-                    self.rollback(pid, &pinned);
+                    self.rollback(pid, out);
+                    out.clear();
                     return Err(e);
                 }
-            };
-            if let Err(e) = self.pins.pin(pid, page) {
-                self.rollback(pid, &pinned);
-                return Err(e);
             }
-            pinned.push(PinnedPage::new(page, frame));
         }
         self.pins.record_call(count, 0);
-        Ok(pinned)
+        Ok(())
     }
 
     fn rollback(&mut self, pid: ProcessId, pinned: &[PinnedPage]) {
@@ -162,8 +167,9 @@ mod tests {
         let (mut phys, mut driver, mut proc) = setup();
         proc.write_bytes(VirtAddr::new(0x5000), b"payload", &mut phys)
             .unwrap();
-        let pinned = driver
-            .pin_and_translate(&mut proc, &mut phys, VirtPage::new(5), 1)
+        let mut pinned = Vec::new();
+        driver
+            .pin_and_translate(&mut proc, &mut phys, VirtPage::new(5), 1, &mut pinned)
             .unwrap();
         assert_eq!(pinned.len(), 1);
         let mut buf = [0u8; 7];
@@ -174,10 +180,11 @@ mod tests {
     #[test]
     fn pin_maps_untouched_pages_on_demand() {
         let (mut phys, mut driver, mut proc) = setup();
-        let pinned = driver
-            .pin_and_translate(&mut proc, &mut phys, VirtPage::new(9), 3)
+        let mut pinned = vec![PinnedPage::new(VirtPage::new(0), FrameId::new(0))];
+        driver
+            .pin_and_translate(&mut proc, &mut phys, VirtPage::new(9), 3, &mut pinned)
             .unwrap();
-        assert_eq!(pinned.len(), 3);
+        assert_eq!(pinned.len(), 3, "the buffer is cleared first");
         assert_eq!(proc.space().mapped_pages(), 3);
         for p in &pinned {
             assert!(driver.pins().is_pinned(proc.id(), p.page()));
@@ -188,9 +195,11 @@ mod tests {
     fn batch_pin_is_all_or_nothing_under_limit() {
         let (mut phys, mut driver, mut proc) = setup();
         driver.pins_mut().set_limit(proc.id(), Some(2));
+        let mut pinned = Vec::new();
         let err = driver
-            .pin_and_translate(&mut proc, &mut phys, VirtPage::new(0), 3)
+            .pin_and_translate(&mut proc, &mut phys, VirtPage::new(0), 3, &mut pinned)
             .unwrap_err();
+        assert!(pinned.is_empty(), "a failed call reports no pages");
         assert!(matches!(err, MemError::PinLimitExceeded { .. }));
         assert_eq!(
             driver.pins().pinned_pages(proc.id()),
@@ -199,7 +208,7 @@ mod tests {
         );
         // A batch that fits succeeds.
         assert!(driver
-            .pin_and_translate(&mut proc, &mut phys, VirtPage::new(0), 2)
+            .pin_and_translate(&mut proc, &mut phys, VirtPage::new(0), 2, &mut pinned)
             .is_ok());
     }
 
@@ -216,7 +225,7 @@ mod tests {
     fn unpin_round_trip_updates_stats() {
         let (mut phys, mut driver, mut proc) = setup();
         driver
-            .pin_and_translate(&mut proc, &mut phys, VirtPage::new(1), 2)
+            .pin_and_translate(&mut proc, &mut phys, VirtPage::new(1), 2, &mut Vec::new())
             .unwrap();
         driver.unpin(proc.id(), VirtPage::new(1)).unwrap();
         let stats = driver.pin_stats();

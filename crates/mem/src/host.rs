@@ -2,8 +2,8 @@
 
 use crate::space::PageSlot;
 use crate::{
-    HostDriver, IntMap, MemError, PhysicalMemory, PinnedPage, Process, ProcessId, Result,
-    SwapDevice, VirtPage, PAGE_SIZE,
+    AddressSpace, HostDriver, IntMap, MemError, PhysicalMemory, PinnedPage, Process, ProcessId,
+    Result, SwapDevice, VirtPage, PAGE_SIZE,
 };
 
 /// One simulated host machine.
@@ -20,6 +20,10 @@ pub struct Host {
     /// Live processes, hashed: every pin probes this table, and only
     /// [`Host::process_ids`] lists it, sorted.
     processes: IntMap<ProcessId, Process>,
+    /// Emptied address spaces of exited processes, reused by
+    /// [`Host::spawn_process`] so their page tables keep the capacity they
+    /// grew to. Never longer than the peak count of live processes.
+    spare_spaces: Vec<AddressSpace>,
     next_pid: u32,
 }
 
@@ -38,6 +42,7 @@ impl Host {
             driver,
             swap: SwapDevice::new(),
             processes: IntMap::default(),
+            spare_spaces: Vec::new(),
             next_pid: 1,
         }
     }
@@ -46,7 +51,11 @@ impl Host {
     pub fn spawn_process(&mut self) -> ProcessId {
         let pid = ProcessId::new(self.next_pid);
         self.next_pid += 1;
-        self.processes.insert(pid, Process::new(pid));
+        let mut process = Process::new(pid);
+        if let Some(space) = self.spare_spaces.pop() {
+            *process.space_mut() = space;
+        }
+        self.processes.insert(pid, process);
         pid
     }
 
@@ -62,14 +71,17 @@ impl Host {
             .remove(&pid)
             .ok_or(MemError::UnknownProcess(pid))?;
         self.driver.pins_mut().release_process(pid);
-        for slot in process.space_mut().drain_slots() {
+        let mut space = std::mem::take(process.space_mut());
+        for slot in space.drain_slots() {
             match slot {
                 PageSlot::Resident(frame) => self.phys.free_frame(frame),
-                PageSlot::Swapped(block) => {
-                    let _ = self.swap.load(block); // discard the orphaned block
-                }
+                PageSlot::Swapped(block) => self
+                    .swap
+                    .discard(block)
+                    .expect("a swapped page names a stored block"),
             }
         }
+        self.spare_spaces.push(space);
         Ok(())
     }
 
@@ -182,7 +194,9 @@ impl Host {
     }
 
     /// Convenience wrapper over [`HostDriver::pin_and_translate`] that looks
-    /// up the process by id.
+    /// up the process by id and faults paged-out pages back in first. Like
+    /// the driver call, it clears `out` and fills it with one translation
+    /// per page.
     ///
     /// # Errors
     ///
@@ -193,7 +207,8 @@ impl Host {
         pid: ProcessId,
         start: VirtPage,
         count: u64,
-    ) -> Result<Vec<PinnedPage>> {
+        out: &mut Vec<PinnedPage>,
+    ) -> Result<()> {
         let process = self
             .processes
             .get_mut(&pid)
@@ -204,7 +219,7 @@ impl Host {
             swap_in(&mut self.phys, &mut self.swap, process, page)?;
         }
         self.driver
-            .pin_and_translate(process, &mut self.phys, start, count)
+            .pin_and_translate(process, &mut self.phys, start, count, out)
     }
 
     /// Convenience wrapper over [`HostDriver::unpin`].
@@ -309,14 +324,46 @@ mod tests {
     fn kill_releases_frames_and_pins() {
         let mut host = Host::new(4); // 1 garbage + 3 usable
         let pid = host.spawn_process();
-        host.driver_pin(pid, VirtPage::new(0), 3).unwrap();
+        let mut pinned = Vec::new();
+        host.driver_pin(pid, VirtPage::new(0), 3, &mut pinned)
+            .unwrap();
         assert_eq!(host.physical().allocator().free_frames(), 0);
         assert_eq!(host.driver().pins().total_pinned_pages(), 3);
         host.kill_process(pid).unwrap();
         assert_eq!(host.driver().pins().total_pinned_pages(), 0);
         assert_eq!(host.physical().allocator().free_frames(), 3);
         let pid2 = host.spawn_process();
-        assert!(host.driver_pin(pid2, VirtPage::new(0), 3).is_ok());
+        assert!(host
+            .driver_pin(pid2, VirtPage::new(0), 3, &mut pinned)
+            .is_ok());
+    }
+
+    #[test]
+    fn kill_discards_swapped_pages_without_a_swap_read() {
+        let mut host = Host::new(8);
+        let pid = host.spawn_process();
+        let va = VirtAddr::new(0x3000);
+        host.process_mut(pid).unwrap().write(va, b"gone").unwrap();
+        assert!(host.reclaim_page(pid, va.page()).unwrap());
+        assert_eq!(host.swap_mut().resident_blocks(), 1);
+        let (_, reads) = host.swap_mut().io_counts();
+        host.kill_process(pid).unwrap();
+        assert_eq!(host.swap_mut().resident_blocks(), 0, "no orphaned block");
+        assert_eq!(host.swap_mut().io_counts().1, reads, "no read counted");
+    }
+
+    #[test]
+    fn a_recycled_address_space_starts_empty() {
+        let mut host = Host::new(8);
+        let a = host.spawn_process();
+        let va = VirtAddr::new(0x5000);
+        host.process_mut(a).unwrap().write(va, b"old").unwrap();
+        host.kill_process(a).unwrap();
+        let b = host.spawn_process();
+        assert_eq!(host.process(b).unwrap().space().mapped_pages(), 0);
+        let mut out = [0xFFu8; 3];
+        host.process_mut(b).unwrap().read(va, &mut out).unwrap();
+        assert_eq!(out, [0; 3], "the dead process' page is not visible");
     }
 
     #[test]
@@ -339,7 +386,8 @@ mod tests {
         let pid = host.spawn_process();
         let va = VirtAddr::new(0x7000);
         host.process_mut(pid).unwrap().write(va, b"dma me").unwrap();
-        let pinned = host.driver_pin(pid, va.page(), 1).unwrap();
+        let mut pinned = Vec::new();
+        host.driver_pin(pid, va.page(), 1, &mut pinned).unwrap();
         let mut buf = [0u8; 6];
         host.physical()
             .read(pinned[0].phys_addr(), &mut buf)

@@ -33,7 +33,8 @@
 //! let pid = host.spawn_process();
 //! let va = VirtAddr::new(0x4000_0000);
 //! host.process_mut(pid)?.write(va, b"hello utlb")?;
-//! let pinned = host.driver_pin(pid, va.page(), 1)?;
+//! let mut pinned = Vec::new(); // reused across pin calls
+//! host.driver_pin(pid, va.page(), 1, &mut pinned)?;
 //! assert_eq!(pinned.len(), 1);
 //! let mut buf = [0u8; 10];
 //! host.physical().read(pinned[0].phys_addr(), &mut buf)?;

@@ -13,11 +13,18 @@ use crate::{FrameAllocator, FrameId, MemError, PhysAddr, Result, PAGE_SIZE};
 /// frames out lowest-first, so the vector is only as long as the highest
 /// frame ever written, and reaching a frame costs one index rather than a
 /// hash probe.
+///
+/// A freed frame's storage is kept and handed to the next frame
+/// materialized, zeroed first, so churning processes that each write a
+/// frame or two reuse the same few boxes.
 #[derive(Debug)]
 pub struct PhysicalMemory {
     allocator: FrameAllocator,
     data: Vec<Option<Box<[u8]>>>,
     resident: usize,
+    /// Storage of freed frames, never more than the peak count of
+    /// materialized frames.
+    spare: Vec<Box<[u8]>>,
 }
 
 impl PhysicalMemory {
@@ -27,6 +34,7 @@ impl PhysicalMemory {
             allocator: FrameAllocator::new(total_frames),
             data: Vec::new(),
             resident: 0,
+            spare: Vec::new(),
         }
     }
 
@@ -44,11 +52,13 @@ impl PhysicalMemory {
         self.allocator.alloc()
     }
 
-    /// Frees one frame, dropping its contents.
+    /// Frees one frame, dropping its contents; its storage is kept for
+    /// the next frame materialized.
     pub fn free_frame(&mut self, frame: FrameId) {
         if let Some(slot) = self.data.get_mut(frame.number() as usize) {
-            if slot.take().is_some() {
+            if let Some(bytes) = slot.take() {
                 self.resident -= 1;
+                self.spare.push(bytes);
             }
         }
         self.allocator.free(frame);
@@ -60,7 +70,8 @@ impl PhysicalMemory {
     }
 
     /// The stored bytes of frame `number`, materialized as zeros first if
-    /// it was never written. The caller has range-checked `number`.
+    /// it was never written (on recycled storage when there is some). The
+    /// caller has range-checked `number`.
     fn frame_mut(&mut self, number: u64) -> &mut [u8] {
         let ix = number as usize;
         if ix >= self.data.len() {
@@ -70,7 +81,14 @@ impl PhysicalMemory {
         if slot.is_none() {
             self.resident += 1;
         }
-        slot.get_or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice())
+        let spare = &mut self.spare;
+        slot.get_or_insert_with(|| match spare.pop() {
+            Some(mut bytes) => {
+                bytes.fill(0);
+                bytes
+            }
+            None => vec![0u8; PAGE_SIZE as usize].into_boxed_slice(),
+        })
     }
 
     /// Total size in bytes.

@@ -38,6 +38,10 @@ struct ProcessPins {
 #[derive(Debug, Default)]
 pub struct PinRegistry {
     procs: IntMap<ProcessId, ProcessPins>,
+    /// Emptied count maps of released processes, reused for the next
+    /// process that pins or gets a limit. Never longer than the peak count
+    /// of processes with state here.
+    spare: Vec<IntMap<u64, u32>>,
     stats: PinStats,
 }
 
@@ -47,10 +51,20 @@ impl PinRegistry {
         Self::default()
     }
 
+    /// The state of `pid`, created empty (on a recycled count map) if it
+    /// has none.
+    fn process_pins(&mut self, pid: ProcessId) -> &mut ProcessPins {
+        let spare = &mut self.spare;
+        self.procs.entry(pid).or_insert_with(|| ProcessPins {
+            counts: spare.pop().unwrap_or_default(),
+            limit: None,
+        })
+    }
+
     /// Sets a pinned-page limit for `pid`. `None` removes the limit.
     pub fn set_limit(&mut self, pid: ProcessId, limit_pages: Option<u64>) {
         match limit_pages {
-            Some(_) => self.procs.entry(pid).or_default().limit = limit_pages,
+            Some(_) => self.process_pins(pid).limit = limit_pages,
             None => {
                 if let Some(pins) = self.procs.get_mut(&pid) {
                     pins.limit = None;
@@ -105,7 +119,7 @@ impl PinRegistry {
     /// exceed the process limit; re-pinning an already-pinned page never
     /// fails.
     pub fn pin(&mut self, pid: ProcessId, page: VirtPage) -> Result<()> {
-        let pins = self.procs.entry(pid).or_default();
+        let pins = self.process_pins(pid);
         let held = pins.counts.len() as u64;
         match pins.counts.entry(page.number()) {
             Entry::Occupied(mut cnt) => *cnt.get_mut() += 1,
@@ -158,7 +172,10 @@ impl PinRegistry {
 
     /// Releases every pin belonging to `pid`, and its limit (process exit).
     pub fn release_process(&mut self, pid: ProcessId) {
-        self.procs.remove(&pid);
+        if let Some(mut pins) = self.procs.remove(&pid) {
+            pins.counts.clear();
+            self.spare.push(pins.counts);
+        }
     }
 }
 
@@ -244,6 +261,19 @@ mod tests {
         assert_eq!(reg.pinned_pages(pid(1)), 0);
         assert_eq!(reg.limit(pid(1)), None);
         assert!(reg.is_pinned(pid(2), VirtPage::new(0)));
+    }
+
+    #[test]
+    fn a_recycled_count_map_holds_no_stale_pins() {
+        let mut reg = PinRegistry::new();
+        reg.set_limit(pid(1), Some(1));
+        reg.pin(pid(1), VirtPage::new(4)).unwrap();
+        reg.release_process(pid(1));
+        reg.pin(pid(2), VirtPage::new(9)).unwrap();
+        assert!(!reg.is_pinned(pid(2), VirtPage::new(4)));
+        assert_eq!(reg.pinned_pages(pid(2)), 1);
+        assert_eq!(reg.limit(pid(2)), None, "limits are not inherited");
+        reg.pin(pid(2), VirtPage::new(10)).unwrap();
     }
 
     #[test]

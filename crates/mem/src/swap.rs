@@ -77,6 +77,21 @@ impl SwapDevice {
             .ok_or(MemError::UnknownSwapBlock(id.0))
     }
 
+    /// Drops a stored block without reading it back, as when the process
+    /// that paged it out exits. Unlike [`load`](SwapDevice::load), this
+    /// counts no read: no data crosses the device.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::UnknownSwapBlock`] for ids never stored or already
+    /// loaded or discarded.
+    pub fn discard(&mut self, id: BlockId) -> Result<()> {
+        self.blocks
+            .remove(&id.0)
+            .map(drop)
+            .ok_or(MemError::UnknownSwapBlock(id.0))
+    }
+
     /// Number of blocks currently resident on the device.
     pub fn resident_blocks(&self) -> usize {
         self.blocks.len()
@@ -104,6 +119,17 @@ mod tests {
         assert_eq!(dev.resident_blocks(), 0, "load removes the block");
         assert_eq!(dev.load(id), Err(MemError::UnknownSwapBlock(id.raw())));
         assert_eq!(dev.io_counts(), (1, 2));
+    }
+
+    #[test]
+    fn discard_drops_a_block_without_counting_a_read() {
+        let mut dev = SwapDevice::new();
+        let id = dev.store(&vec![0u8; PAGE_SIZE as usize]);
+        dev.discard(id).unwrap();
+        assert_eq!(dev.resident_blocks(), 0);
+        assert_eq!(dev.io_counts(), (1, 0), "a discard moves no data");
+        assert_eq!(dev.discard(id), Err(MemError::UnknownSwapBlock(id.raw())));
+        assert_eq!(dev.load(id), Err(MemError::UnknownSwapBlock(id.raw())));
     }
 
     #[test]

@@ -46,7 +46,7 @@ fn pinned_pages_are_immune_to_reclaim() {
     let mut host = Host::new(16);
     let pid = host.spawn_process();
     let page = VirtPage::new(5);
-    host.driver_pin(pid, page, 1).unwrap();
+    host.driver_pin(pid, page, 1, &mut Vec::new()).unwrap();
     assert_eq!(
         host.reclaim_page(pid, page),
         Err(MemError::CannotReclaimPinned { pid, page })
@@ -69,7 +69,8 @@ fn pinning_a_swapped_page_faults_it_in_first() {
 
     // The driver pin path must produce a *resident* translation whose frame
     // holds the original bytes — otherwise DMA would read stale garbage.
-    let pinned = host.driver_pin(pid, va.page(), 1).unwrap();
+    let mut pinned = Vec::new();
+    host.driver_pin(pid, va.page(), 1, &mut pinned).unwrap();
     let mut buf = [0u8; 10];
     host.physical()
         .read(pinned[0].phys_addr(), &mut buf)

@@ -137,6 +137,10 @@ enum PhysOp {
     Alloc,
     /// Frees the `n % live`-th allocated frame, if any is live.
     Free(usize),
+    /// Frees the `n % live`-th allocated frame, allocates one in its place,
+    /// writes one byte into it and reads the whole frame back: a frame
+    /// materialized on recycled storage must read as zeros elsewhere.
+    Recycle(usize),
 }
 
 const REF_FRAMES: u64 = 12;
@@ -144,7 +148,7 @@ const REF_FRAMES: u64 = 12;
 fn phys_op() -> impl Strategy<Value = PhysOp> {
     let span = REF_FRAMES * PAGE_SIZE;
     let max_len = 2 * PAGE_SIZE as usize + 64;
-    (0u8..14, 0..span, any::<u64>()).prop_map(move |(tag, at, n)| match tag {
+    (0u8..16, 0..span, any::<u64>()).prop_map(move |(tag, at, n)| match tag {
         0..=3 => {
             // A patterned run of up to two frames and a bit, seeded by `n`.
             let len = 1 + (n as usize % max_len);
@@ -154,7 +158,8 @@ fn phys_op() -> impl Strategy<Value = PhysOp> {
         4..=7 => PhysOp::Read(at, 1 + (n as usize % max_len)),
         8 | 9 => PhysOp::Fill(n % (REF_FRAMES + 1), at),
         10 | 11 => PhysOp::Alloc,
-        _ => PhysOp::Free(n as usize),
+        12 | 13 => PhysOp::Free(n as usize),
+        _ => PhysOp::Recycle(n as usize),
     })
 }
 
@@ -390,7 +395,8 @@ proptest! {
     /// The dense frame store agrees with a hash-map reference on every read
     /// (unwritten memory reads zero), every range error and the resident
     /// frame count, over writes and reads across frame edges, whole-frame
-    /// fills, and frame allocation and release.
+    /// fills, frame allocation and release, and frames re-allocated onto
+    /// recycled storage.
     #[test]
     fn phys_matches_hash_reference(ops in proptest::collection::vec(phys_op(), 1..40)) {
         let mut mem = PhysicalMemory::new(REF_FRAMES);
@@ -431,6 +437,21 @@ proptest! {
                         let f = live.swap_remove(n % live.len());
                         mem.free_frame(f);
                         model.0.remove(&f.number());
+                    }
+                }
+                PhysOp::Recycle(n) => {
+                    if !live.is_empty() {
+                        let f = live.swap_remove(n % live.len());
+                        mem.free_frame(f);
+                        model.0.remove(&f.number());
+                        let g = mem.alloc_frame().expect("a frame was just freed");
+                        live.push(g);
+                        let at = g.number() * PAGE_SIZE + (n as u64 % PAGE_SIZE);
+                        mem.write(PhysAddr::new(at), &[0x5A]).unwrap();
+                        model.write(at, &[0x5A]);
+                        let mut frame = vec![0xEEu8; PAGE_SIZE as usize];
+                        mem.read(g.base(), &mut frame).unwrap();
+                        prop_assert_eq!(frame, model.read(g.number() * PAGE_SIZE, PAGE_SIZE as usize));
                     }
                 }
             }

@@ -116,9 +116,12 @@ impl DmaEngine {
         Ok(self.charge(clock, len as u64))
     }
 
-    /// Fetches `words` consecutive 8-byte words from host memory into a
-    /// scratch vector — the shape of a translation-entry fill on a Shared
-    /// UTLB-Cache miss, where prefetched entries ride the same DMA.
+    /// Fetches `out.len()` consecutive 8-byte words from host memory at
+    /// `base` into `out` — the shape of a translation-entry fill on a
+    /// Shared UTLB-Cache miss, where prefetched entries ride the same DMA.
+    /// The caller owns `out`, so a fill allocates nothing. Returns the
+    /// simulated cost of the transfer, the per-event attribution an
+    /// observability probe wants without re-deriving the bus model.
     ///
     /// # Errors
     ///
@@ -128,36 +131,18 @@ impl DmaEngine {
         clock: &mut SimClock,
         host: &PhysicalMemory,
         base: PhysAddr,
-        words: u64,
-    ) -> Result<Vec<u64>> {
-        self.fetch_words_timed(clock, host, base, words)
-            .map(|(out, _)| out)
-    }
-
-    /// Like [`fetch_words`](DmaEngine::fetch_words), but also returns the
-    /// simulated cost of the transfer — the per-event attribution an
-    /// observability probe wants without re-deriving the bus model.
-    ///
-    /// # Errors
-    ///
-    /// Propagates range errors from host memory.
-    pub fn fetch_words_timed(
-        &mut self,
-        clock: &mut SimClock,
-        host: &PhysicalMemory,
-        base: PhysAddr,
-        words: u64,
-    ) -> Result<(Vec<u64>, Nanos)> {
-        let mut out = Vec::with_capacity(words as usize);
-        for i in 0..words {
-            out.push(host.read_u64(base.offset(i * 8))?);
+        out: &mut [u64],
+    ) -> Result<Nanos> {
+        for (i, word) in out.iter_mut().enumerate() {
+            *word = host.read_u64(base.offset(i as u64 * 8))?;
         }
+        let words = out.len() as u64;
         let cost = self.bus.dma_words(words);
         clock.advance(cost);
         self.stats.transfers += 1;
         self.stats.bytes += words * 8;
         self.stats.busy += cost;
-        Ok((out, cost))
+        Ok(cost)
     }
 }
 
@@ -233,12 +218,14 @@ mod tests {
         for i in 0..8u64 {
             host.write_u64(PhysAddr::new(i * 8), 100 + i).unwrap();
         }
-        let words = dma
-            .fetch_words(&mut clock, &host, PhysAddr::new(0), 8)
+        let mut words = [0u64; 8];
+        let cost = dma
+            .fetch_words(&mut clock, &host, PhysAddr::new(0), &mut words)
             .unwrap();
-        assert_eq!(words, vec![100, 101, 102, 103, 104, 105, 106, 107]);
+        assert_eq!(words, [100, 101, 102, 103, 104, 105, 106, 107]);
         // Cost equals the bus model for 8 words.
-        assert_eq!(clock.now(), dma.bus().dma_words(8));
+        assert_eq!(cost, dma.bus().dma_words(8));
+        assert_eq!(clock.now(), cost);
     }
 
     #[test]
@@ -250,10 +237,10 @@ mod tests {
         let mut a = DmaEngine::new(bus);
         let mut b = DmaEngine::new(bus);
         for _ in 0..8 {
-            a.fetch_words(&mut one_clock, &host, PhysAddr::new(0), 1)
+            a.fetch_words(&mut one_clock, &host, PhysAddr::new(0), &mut [0; 1])
                 .unwrap();
         }
-        b.fetch_words(&mut batched_clock, &host, PhysAddr::new(0), 8)
+        b.fetch_words(&mut batched_clock, &host, PhysAddr::new(0), &mut [0; 8])
             .unwrap();
         assert!(batched_clock.now() < one_clock.now());
     }

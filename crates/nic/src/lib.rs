@@ -33,8 +33,9 @@
 //! // Fetch one translation entry across the simulated I/O bus: ~1.5 µs,
 //! // matching the paper's Table 2.
 //! let Board { dma, clock, .. } = &mut board;
-//! let words = dma.fetch_words(clock, &host, PhysAddr::new(0), 1)?;
-//! assert_eq!(words[0], 0xBEEF);
+//! let mut entry = [0u64; 1];
+//! dma.fetch_words(clock, &host, PhysAddr::new(0), &mut entry)?;
+//! assert_eq!(entry[0], 0xBEEF);
 //! assert!((clock.now().as_micros() - 1.5).abs() < 0.1);
 //! # Ok(())
 //! # }

@@ -132,11 +132,13 @@ proptest! {
         }
         let mut clock = SimClock::new();
         let mut dma = DmaEngine::default();
-        let got = dma
-            .fetch_words(&mut clock, &host, PhysAddr::new(0), words.len() as u64)
+        let mut got = vec![0u64; words.len()];
+        let cost = dma
+            .fetch_words(&mut clock, &host, PhysAddr::new(0), &mut got)
             .unwrap();
         prop_assert_eq!(&got, &words);
-        prop_assert_eq!(clock.now(), dma.bus().dma_words(words.len() as u64));
+        prop_assert_eq!(cost, dma.bus().dma_words(words.len() as u64));
+        prop_assert_eq!(clock.now(), cost);
     }
 
     /// Remapping is involutive bookkeeping: remap then restore is identity.

@@ -103,7 +103,8 @@ pub fn table2() -> Table2 {
         .map(|&entries| {
             let mut clock = SimClock::new();
             let mut dma = DmaEngine::default();
-            dma.fetch_words(&mut clock, &host, PhysAddr::new(0), entries)
+            let mut words = vec![0u64; entries as usize];
+            dma.fetch_words(&mut clock, &host, PhysAddr::new(0), &mut words)
                 .expect("scratch fetch succeeds");
             Table2Row {
                 entries,

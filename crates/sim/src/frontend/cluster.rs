@@ -32,7 +32,7 @@
 //! is byte-identical to the plain [`Run::frontend`](crate::Run::frontend)
 //! run on the same inputs — pinned by `tests/cluster_frontend.rs` and CI.
 
-use super::reactor::{run_reactor, through_wire, Conn, ReqGen};
+use super::reactor::{run_reactor, through_wire, Conn};
 use super::{FrontendConfig, FrontendResult};
 use crate::cluster::HomingPolicy;
 use crate::des_runner::DesConfig;
@@ -44,7 +44,7 @@ use utlb_core::obs::{Event, Histogram, Metrics, Probe, SharedCollector, WaitReso
 use utlb_core::{
     CacheStats, LookupBatch, OutcomeBuf, PageDemand, TranslationMechanism, TranslationStats,
 };
-use utlb_des::{AdmissionStats, CreditWindow, ResourceReport};
+use utlb_des::{AdmissionStats, ResourceReport};
 use utlb_mem::{Host, ProcessId, VirtAddr, PAGE_SIZE};
 use utlb_msg::{Frame, FRAME_BYTES};
 use utlb_nic::{Board, Nanos};
@@ -163,16 +163,14 @@ impl<M: TranslationMechanism + ?Sized> ClusterDriver<'_, '_, M> {
         st.price(pre, &[d], *kernel_pins, pid, des, shared, &mut b.probe);
     }
 
-    /// Attempts to open connection `index` at simulated time `open_ns` —
-    /// the full handshake, including any redirect hops. Returns the
-    /// reactor state for an accepted connection (with its home board
-    /// recorded), or `None` if every candidate board refused.
+    /// Attempts to open connection `index` — the full handshake, including
+    /// any redirect hops. Returns the accepted connection's process and
+    /// home board, or `None` if every candidate board refused.
     pub(crate) fn open(
         &mut self,
         index: u64,
-        open_ns: u64,
         wire: &mut [u8; FRAME_BYTES],
-    ) -> Option<Conn> {
+    ) -> Option<(ProcessId, usize)> {
         let hello = through_wire(
             Frame::Hello {
                 client: index,
@@ -214,17 +212,7 @@ impl<M: TranslationMechanism + ?Sized> ClusterDriver<'_, '_, M> {
                     if let Some(p) = &mut b.probe {
                         p.on_event(pid, Event::Connect);
                     }
-                    let mut gen = ReqGen::new(self.fcfg, index, open_ns);
-                    let pending = gen.next(self.fcfg);
-                    opened = Some(Conn {
-                        pid,
-                        board: ix,
-                        gen,
-                        window: CreditWindow::new(self.fcfg.credit_window, self.fcfg.queue_depth),
-                        pending,
-                        last_done_ns: open_ns,
-                        seq: 0,
-                    });
+                    opened = Some((pid, ix));
                     break;
                 }
                 Err(_) => {

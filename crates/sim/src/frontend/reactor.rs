@@ -110,6 +110,31 @@ pub(crate) struct Conn {
     pub(crate) seq: u64,
 }
 
+impl Conn {
+    /// The reactor state of connection `index`, accepted as `pid` on
+    /// `board` at `open_ns`, with its first request generated. `window` is
+    /// a new credit window or a closed connection's, reset.
+    fn new(
+        fcfg: &FrontendConfig,
+        index: u64,
+        open_ns: u64,
+        (pid, board): (ProcessId, usize),
+        window: CreditWindow,
+    ) -> Self {
+        let mut gen = ReqGen::new(fcfg, index, open_ns);
+        let pending = gen.next(fcfg);
+        Conn {
+            pid,
+            board,
+            gen,
+            window,
+            pending,
+            last_done_ns: open_ns,
+            seq: 0,
+        }
+    }
+}
+
 /// Runs the peer's side of the wire for a request: encode into the reused
 /// frame buffer, then decode as the board would. The decoded frame is what
 /// the board dispatches on, so the protocol is load-bearing, and the round
@@ -154,7 +179,9 @@ pub(crate) fn run_reactor<M: TranslationMechanism + ?Sized>(
     // Initial wave, in index order so pids stay dense.
     let initial = fcfg.open_window.min(fcfg.connections);
     while (next_conn as usize) < initial {
-        if let Some(c) = drv.open(next_conn, 0, &mut wire) {
+        if let Some(accepted) = drv.open(next_conn, &mut wire) {
+            let window = CreditWindow::new(fcfg.credit_window, fcfg.queue_depth);
+            let c = Conn::new(fcfg, next_conn, 0, accepted, window);
             let slot = slots.len();
             let ts = c
                 .pending
@@ -246,11 +273,14 @@ pub(crate) fn run_reactor<M: TranslationMechanism + ?Sized>(
                 drv.close(&conn);
                 through_wire(Frame::ByeAck, &mut wire);
                 // The freed slot admits the next waiting connection, at the
-                // close's timestamp.
+                // close's timestamp, on the closed connection's window.
+                let mut window = conn.window;
+                window.reset();
                 while next_conn < total {
                     let index = next_conn;
                     next_conn += 1;
-                    if let Some(c) = drv.open(index, ts, &mut wire) {
+                    if let Some(accepted) = drv.open(index, &mut wire) {
+                        let c = Conn::new(fcfg, index, ts, accepted, window);
                         let next_ts = c
                             .pending
                             .as_ref()

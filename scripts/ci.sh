@@ -58,6 +58,19 @@ filtered_test -p utlb-mem frame::
 filtered_test -p utlb-mem space::
 cargo test -q --offline -p utlb-core --test cache_reference
 
+echo "== allocation ratchet and storage recycling: zero allocations per extra epoch, recycled state reads as new"
+cargo test -q --offline -p utlb-sim --test alloc_budget
+filtered_test -p utlb-core --test properties a_reset_set_selects_like_a_new_one
+filtered_test -p utlb-mem --test properties phys_matches_hash_reference
+filtered_test -p utlb-core a_cleared_tree_has_no_stale_entries
+filtered_test -p utlb-core a_cleared_vector_has_no_stale_bits
+filtered_test -p utlb-core a_reset_core_starts_like_a_new_one
+filtered_test -p utlb-core reset_empties_the_set_and_restarts_its_seed
+filtered_test -p utlb-mem a_recycled_
+filtered_test -p utlb-mem kill_discards_swapped_pages_without_a_swap_read
+filtered_test -p utlb-mem discard_drops_a_block_without_counting_a_read
+filtered_test -p utlb-des a_reset_window_grants_like_a_new_one
+
 echo "== four-mechanism unification: shared pin core and variant ablations"
 filtered_test -p utlb-core pincore::
 filtered_test -p utlb-core policy::
