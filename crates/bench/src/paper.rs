@@ -1,7 +1,8 @@
 //! The no-name `run_all` run: every table and figure in paper order — the
 //! one-shot reproduction of the whole evaluation section — then, with
-//! `--obs`, the probe-attached pass. It times nothing: the `sweep` criterion
-//! bench prices the executor and the cache probe hot path.
+//! `--obs`, the probe-attached pass. It times nothing: the repository
+//! benchmark under `benchmark/` prices the engine hot paths, and
+//! `run_all obs_guard` bounds the probe's cost.
 
 use crate::cli::{find, write_json, Invocation};
 use crate::registry::Outcome;

@@ -352,10 +352,19 @@ impl TranslationMechanism for IndexedEngine {
                 core: PinCore::new(self.cfg.policy, self.cfg.seed, pid),
             },
         };
-        for _ in 0..frames_needed {
+        let filled = (0..frames_needed).try_for_each(|_| {
             let f = host.physical_mut().alloc_frame()?;
-            host.physical_mut().fill_u64(f, garbage.raw())?;
             state.table_frames.push(f);
+            host.physical_mut().fill_u64(f, garbage.raw())
+        });
+        if let Err(e) = filled {
+            // Failed part way (typically out of DRAM): hand back every
+            // frame this call took and keep the state for the next one.
+            for f in state.table_frames.drain(..) {
+                host.physical_mut().free_frame(f);
+            }
+            self.spare.push(state);
+            return Err(e.into());
         }
         state.free.extend((0..self.cfg.table_entries as u32).rev());
         self.procs.insert(pid, state);
@@ -449,6 +458,26 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_failed_registration_returns_its_table_frames() {
+        // 8 192 entries need 16 table frames; an 11-frame host (one of
+        // them the garbage page) runs out part way through.
+        let mut host = Host::new(11);
+        let mut board = Board::new();
+        let mut engine = IndexedEngine::new(IndexedConfig {
+            table_entries: 16 * ENTRIES_PER_FRAME,
+            ..IndexedConfig::default()
+        });
+        let pid = host.spawn_process();
+        let free_before = host.physical().allocator().free_frames();
+        assert_eq!(
+            engine.register_process(&mut host, &mut board, pid),
+            Err(UtlbError::Mem(utlb_mem::MemError::OutOfFrames))
+        );
+        assert_eq!(host.physical().allocator().free_frames(), free_before);
+        assert_eq!(engine.stats(pid), Err(UtlbError::UnregisteredProcess(pid)));
     }
 
     #[test]

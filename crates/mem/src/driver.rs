@@ -9,9 +9,7 @@
 //! table entry, so the NIC never has to validate user-supplied indices — at
 //! worst data lands in the garbage page (§4.2).
 
-use crate::{
-    FrameId, PhysAddr, PhysicalMemory, PinRegistry, PinStats, Process, ProcessId, Result, VirtPage,
-};
+use crate::{FrameId, PhysAddr, PhysicalMemory, PinRegistry, Process, ProcessId, Result, VirtPage};
 
 /// A page pinned by the driver, with the translation it reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,11 +141,6 @@ impl HostDriver {
         self.pins.record_call(0, 1);
         Ok(())
     }
-
-    /// Accumulated pin/unpin counters.
-    pub fn pin_stats(&self) -> PinStats {
-        self.pins.stats()
-    }
 }
 
 #[cfg(test)]
@@ -228,7 +221,7 @@ mod tests {
             .pin_and_translate(&mut proc, &mut phys, VirtPage::new(1), 2, &mut Vec::new())
             .unwrap();
         driver.unpin(proc.id(), VirtPage::new(1)).unwrap();
-        let stats = driver.pin_stats();
+        let stats = driver.pins().stats();
         assert_eq!(stats.pin_ops, 2);
         assert_eq!(stats.unpin_ops, 1);
         assert_eq!(stats.pin_calls, 1);

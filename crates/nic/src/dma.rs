@@ -95,27 +95,6 @@ impl DmaEngine {
         Ok(self.charge(clock, len as u64))
     }
 
-    /// Copies `len` bytes between two host physical locations (the zero-copy
-    /// receive path: wire → pinned user buffer without a staging copy in
-    /// system memory; the NIC still owns the bus transaction).
-    ///
-    /// # Errors
-    ///
-    /// Propagates range errors from host memory.
-    pub fn host_to_host(
-        &mut self,
-        clock: &mut SimClock,
-        host: &mut PhysicalMemory,
-        src: PhysAddr,
-        dst: PhysAddr,
-        len: usize,
-    ) -> Result<Nanos> {
-        let mut buf = vec![0u8; len];
-        host.read(src, &mut buf)?;
-        host.write(dst, &buf)?;
-        Ok(self.charge(clock, len as u64))
-    }
-
     /// Fetches `out.len()` consecutive 8-byte words from host memory at
     /// `base` into `out` — the shape of a translation-entry fill on a
     /// Shared UTLB-Cache miss, where prefetched entries ride the same DMA.
@@ -189,25 +168,6 @@ mod tests {
         assert_eq!(&back, b"over the bus");
         assert_eq!(dma.stats().transfers, 2);
         assert_eq!(dma.stats().bytes, 24);
-    }
-
-    #[test]
-    fn host_to_host_copies() {
-        let mut clock = SimClock::new();
-        let mut host = PhysicalMemory::new(4);
-        let mut dma = DmaEngine::default();
-        host.write(PhysAddr::new(0), b"zero copy").unwrap();
-        dma.host_to_host(
-            &mut clock,
-            &mut host,
-            PhysAddr::new(0),
-            PhysAddr::new(4096),
-            9,
-        )
-        .unwrap();
-        let mut buf = [0u8; 9];
-        host.read(PhysAddr::new(4096), &mut buf).unwrap();
-        assert_eq!(&buf, b"zero copy");
     }
 
     #[test]

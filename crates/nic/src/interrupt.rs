@@ -63,11 +63,6 @@ impl InterruptController {
     pub fn total_handler(&self) -> Nanos {
         self.handler_busy
     }
-
-    /// Total host-CPU occupancy of this line: dispatch plus handler bodies.
-    pub fn total_occupancy(&self) -> Nanos {
-        self.total_dispatch() + self.handler_busy
-    }
 }
 
 impl Default for InterruptController {
@@ -101,7 +96,6 @@ mod tests {
         intr.account_handler(Nanos::from_micros(3.0));
         assert_eq!(intr.total_handler(), Nanos::from_micros(30.0));
         assert_eq!(intr.total_dispatch(), Nanos::from_micros(10.0));
-        assert_eq!(intr.total_occupancy(), Nanos::from_micros(40.0));
         // Accounting never touches the clock.
         assert_eq!(clock.now(), Nanos::from_micros(10.0));
     }

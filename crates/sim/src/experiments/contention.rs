@@ -65,18 +65,6 @@ pub struct BusContention {
     pub cells: Vec<ContentionCell>,
 }
 
-impl BusContention {
-    /// The `(load, mean latency µs)` series for one `(app, mechanism)`
-    /// curve, in sweep order.
-    pub fn latency_series(&self, app: SplashApp, mech: Mechanism) -> Vec<(f64, f64)> {
-        self.cells
-            .iter()
-            .filter(|c| c.app == app && c.mechanism == mech)
-            .map(|c| (c.payload_load, c.mean_latency_us))
-            .collect()
-    }
-}
-
 fn des_config(load: f64) -> DesConfig {
     if load == 0.0 {
         DesConfig::zero_contention()
@@ -292,7 +280,7 @@ mod tests {
 
     #[test]
     fn latency_is_monotone_in_offered_load_for_every_mechanism() {
-        // The sweep's acceptance criterion: more background traffic can
+        // The sweep's acceptance bar: more background traffic can
         // only slow translations down.
         let bc = bus_contention(&test_gen_config(), 2048);
         assert_eq!(
@@ -301,7 +289,13 @@ mod tests {
         );
         for app in CONTENTION_APPS {
             for mech in Mechanism::ALL {
-                let series = bc.latency_series(app, mech);
+                // The (load, mean latency µs) curve, in sweep order.
+                let series: Vec<(f64, f64)> = bc
+                    .cells
+                    .iter()
+                    .filter(|c| c.app == app && c.mechanism == mech)
+                    .map(|c| (c.payload_load, c.mean_latency_us))
+                    .collect();
                 assert_eq!(series.len(), CONTENTION_LOADS.len());
                 for pair in series.windows(2) {
                     assert!(

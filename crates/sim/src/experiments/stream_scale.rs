@@ -73,8 +73,7 @@ pub struct StreamScale {
     pub baseline_lookups: u64,
     /// Wall-clock milliseconds of the baseline run (replay only).
     pub baseline_wall_ms: f64,
-    /// `streamed_lookups / baseline_lookups` — the acceptance criterion is
-    /// ≥ 10.
+    /// `streamed_lookups / baseline_lookups` — the acceptance bar is ≥ 10.
     pub scale_factor: f64,
     /// NI miss rate of the streamed run, as a sanity anchor: looping a
     /// high-reuse app must drive the compulsory share toward zero.

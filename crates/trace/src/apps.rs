@@ -124,14 +124,6 @@ pub struct AppSpec {
     pub regular: bool,
 }
 
-impl AppSpec {
-    /// The compulsory floor: distinct pages over lookups — the check-miss
-    /// rate a UTLB with infinite memory converges to.
-    pub fn compulsory_rate(&self) -> f64 {
-        self.footprint_pages as f64 / self.lookups as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,9 +141,11 @@ mod tests {
 
     #[test]
     fn compulsory_rates_match_paper_check_miss_rates() {
-        // Table 4 check-miss column is footprint/lookups to within noise.
+        // Table 4 check-miss column is footprint/lookups to within noise:
+        // the compulsory floor a UTLB with infinite memory converges to.
         let close = |app: SplashApp, expect: f64, tol: f64| {
-            let got = app.spec().compulsory_rate();
+            let s = app.spec();
+            let got = s.footprint_pages as f64 / s.lookups as f64;
             assert!(
                 (got - expect).abs() < tol,
                 "{app}: got {got:.3}, paper {expect}"

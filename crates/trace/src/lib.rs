@@ -55,6 +55,6 @@ pub use apps::{AppSpec, SplashApp};
 pub use io::{read_jsonl, write_jsonl};
 pub use merge::{merge_streams, merge_trace_streams, MergedStream};
 pub use record::{merge_multiprogram, Op, Trace, TraceRecord};
-pub use shard::{shard_trace, ShardMap};
+pub use shard::ShardMap;
 pub use stream::{fill_chunk, Looped, TraceStream, TraceView};
 pub use synth::{GenConfig, PatternBuilder, ProcessStream};

@@ -92,14 +92,6 @@ impl Trace {
         pids.dedup();
         pids
     }
-
-    /// Average transfer size in pages.
-    pub fn mean_pages_per_request(&self) -> f64 {
-        if self.records.is_empty() {
-            return 0.0;
-        }
-        self.total_lookups() as f64 / self.records.len() as f64
-    }
 }
 
 /// Merges several traces into one multiprogrammed trace, remapping process
@@ -172,7 +164,6 @@ mod tests {
         assert_eq!(t.total_lookups(), 4);
         assert_eq!(t.footprint_pages(), 3, "(1,5), (2,5), (1,6)");
         assert_eq!(t.process_ids().len(), 2);
-        assert_eq!(t.mean_pages_per_request(), 1.0);
     }
 
     #[test]
@@ -230,7 +221,6 @@ mod tests {
         assert_eq!(r.lookups(), 4);
         let t = Trace::new("straddle", 0, vec![r]);
         assert_eq!(t.footprint_pages(), 4);
-        assert_eq!(t.mean_pages_per_request(), 4.0);
     }
 
     #[test]

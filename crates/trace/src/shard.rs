@@ -9,7 +9,6 @@
 //! that mid-trace migration can rehome a process without touching the
 //! others.
 
-use crate::{Trace, TraceRecord};
 use std::collections::BTreeMap;
 use utlb_mem::ProcessId;
 
@@ -89,46 +88,15 @@ impl ShardMap {
         self.home.is_empty()
     }
 
-    /// The processes homed on `board`, in ascending pid order.
-    pub fn pids_on(&self, board: usize) -> Vec<ProcessId> {
-        self.home
-            .iter()
-            .filter(|(_, b)| **b == board)
-            .map(|(pid, _)| ProcessId::new(*pid))
-            .collect()
-    }
-
     /// All assigned processes in ascending pid order.
     pub fn pids(&self) -> Vec<ProcessId> {
         self.home.keys().map(|p| ProcessId::new(*p)).collect()
     }
 }
 
-/// Splits a merged trace into one sub-trace per board, preserving record
-/// order within each shard. Records of unassigned pids are dropped; the
-/// shard of board `b` is named `"<workload>@board<b>"`.
-///
-/// The cluster runner itself replays the *merged* stream in global order
-/// (shared stations need one admission order); this per-board split is the
-/// reference decomposition tests check board-local behavior against.
-pub fn shard_trace(trace: &Trace, map: &ShardMap) -> Vec<Trace> {
-    let mut shards: Vec<Vec<TraceRecord>> = vec![Vec::new(); map.nodes()];
-    for r in &trace.records {
-        if let Some(board) = map.board_of(r.pid) {
-            shards[board].push(*r);
-        }
-    }
-    shards
-        .into_iter()
-        .enumerate()
-        .map(|(b, records)| Trace::new(format!("{}@board{b}", trace.workload), trace.seed, records))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::send_page;
 
     fn pid(n: u32) -> ProcessId {
         ProcessId::new(n)
@@ -146,17 +114,6 @@ mod tests {
         assert_eq!(map.board_of(pid(3)), Some(0));
         assert_eq!(map.board_of(pid(5)), Some(1));
         assert_eq!(map.board_of(pid(4)), None);
-        assert_eq!(map.pids_on(0), vec![pid(1), pid(3)]);
-        assert_eq!(map.pids_on(1), vec![pid(2), pid(5)]);
-    }
-
-    #[test]
-    fn more_boards_than_pids_leaves_empty_boards() {
-        let map = ShardMap::round_robin(&[pid(1), pid(2)], 4);
-        assert_eq!(map.pids_on(0), vec![pid(1)]);
-        assert_eq!(map.pids_on(1), vec![pid(2)]);
-        assert!(map.pids_on(2).is_empty());
-        assert!(map.pids_on(3).is_empty());
     }
 
     #[test]
@@ -164,8 +121,6 @@ mod tests {
         let mut map = ShardMap::round_robin(&[pid(1), pid(2)], 2);
         map.assign(pid(1), 1);
         assert_eq!(map.board_of(pid(1)), Some(1));
-        assert_eq!(map.pids_on(0), Vec::<ProcessId>::new());
-        assert_eq!(map.pids_on(1), vec![pid(1), pid(2)]);
         assert_eq!(map.len(), 2, "rehoming is not a second assignment");
     }
 
@@ -179,35 +134,5 @@ mod tests {
     #[should_panic(expected = "at least one board")]
     fn zero_node_map_panics() {
         ShardMap::new(0);
-    }
-
-    #[test]
-    fn shard_trace_partitions_and_preserves_order() {
-        let t = Trace::new(
-            "mp",
-            7,
-            vec![
-                send_page(0, pid(1), 10),
-                send_page(5, pid(2), 20),
-                send_page(9, pid(1), 11),
-                send_page(12, pid(3), 30),
-            ],
-        );
-        let map = ShardMap::round_robin(&t.process_ids(), 2);
-        let shards = shard_trace(&t, &map);
-        assert_eq!(shards.len(), 2);
-        assert_eq!(shards[0].workload, "mp@board0");
-        // Board 0 homes pids 1 and 3; board 1 homes pid 2.
-        assert_eq!(
-            shards[0].records,
-            vec![
-                send_page(0, pid(1), 10),
-                send_page(9, pid(1), 11),
-                send_page(12, pid(3), 30),
-            ]
-        );
-        assert_eq!(shards[1].records, vec![send_page(5, pid(2), 20)]);
-        let total: usize = shards.iter().map(|s| s.records.len()).sum();
-        assert_eq!(total, t.records.len(), "partition loses nothing");
     }
 }

@@ -7,7 +7,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Every step below must leave the working tree as it found it: an entry or
-# bench that writes a stray file fails the run at the end.
+# test that writes a stray file fails the run at the end.
 start_status=$(git status --porcelain)
 
 # Runs `cargo test -q --offline ARGS` and fails when its name filter
@@ -96,11 +96,9 @@ run_all --obs > results/run_all.txt
 git diff --exit-code -- results/table{1,2,3,4,5,6,7,8}.{json,txt} results/fig{7,8}.{json,txt,csv} \
     results/ablations.txt results/contention.json results/interference.json results/run_all.txt
 
-echo "== repository benchmark builds against the TranslationMechanism trait"
+echo "== repository benchmark builds against the TranslationMechanism trait and passes its unit tests"
 cargo build -q --release --offline --manifest-path benchmark/Cargo.toml
-
-echo "== host-op benches smoke (replacement-set evict/insert and touch)"
-cargo bench -q --offline -p utlb-bench --bench host_ops -- --test
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "== observability: no-op probe overhead guard (<10%)"
 run_all obs_guard --scale 0.3
@@ -118,7 +116,6 @@ filtered_test -p utlb-sim --test equivalence scalar
 filtered_test -p utlb-sim --test equivalence batched_lookup_matches_scalar_lockstep_for_all_mechanisms
 filtered_test -p utlb-core batch::
 filtered_test -p utlb-core pinned_prefix
-filtered_test -p utlb-bench scalar_baseline
 
 echo "== streaming: fused generate+replay byte-identity gate"
 cargo test -q --offline -p utlb-sim --test stream_equivalence
@@ -157,9 +154,6 @@ cmp results/cluster_smoke_1w.json results/cluster_smoke.json
 rm results/cluster_smoke_1w.json
 git diff --exit-code -- results/cluster_smoke.json
 
-echo "== cluster: 1-vs-8-board replay bench smoke"
-cargo bench -q --offline -p utlb-bench --bench cluster_replay -- --test
-
 echo "== frontend: unit, lifecycle, and bit-exactness tests"
 cargo test -q --offline -p utlb-sim --test frontend
 filtered_test -p utlb-sim frontend
@@ -170,9 +164,6 @@ UTLB_SIM_THREADS=4 run_all frontend --cap 1000 --json results/frontend_smoke.jso
 cmp results/frontend_smoke_1w.json results/frontend_smoke.json
 rm results/frontend_smoke_1w.json
 git diff --exit-code -- results/frontend_smoke.json
-
-echo "== frontend: live-reactor-vs-trace-replay bench smoke"
-cargo bench -q --offline -p utlb-bench --bench frontend -- --test
 
 echo "== clustered frontend: 1-board byte-identity, redirect gradient, residency proptest"
 cargo test -q --offline -p utlb-sim --test cluster_frontend
@@ -186,15 +177,6 @@ UTLB_SIM_THREADS=4 run_all cluster_frontend --cap 2000 \
 cmp results/cluster_frontend_smoke_1w.json results/cluster_frontend_smoke.json
 rm results/cluster_frontend_smoke_1w.json
 git diff --exit-code -- results/cluster_frontend_smoke.json
-
-echo "== clustered frontend: 1-vs-8-board live churn bench smoke"
-cargo bench -q --offline -p utlb-bench --bench cluster_frontend -- --test
-
-echo "== DES: replay overhead bench smoke"
-cargo bench -q --offline -p utlb-bench --bench des_replay -- --test
-
-echo "== criterion smoke: batched-vs-scalar replay benches compile and run"
-cargo bench -q --offline -p utlb-bench --bench sweep -- --test
 
 echo "== docs build clean"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --offline --workspace
